@@ -46,15 +46,6 @@ using cluster::ClusterConfig;
 using cluster::ClusterReport;
 using cluster::TopologyKind;
 
-// Pre-refactor events/sec on the section-(a) workload, measured with this
-// bench's config on the PR-1 core (std::function heap events, O(n^2)
-// per-tick suspicion scan, per-pair heap detector objects) on the
-// development machine (median of 3 runs). Machine-relative: compare the
-// current/baseline ratio, not absolute rates, across machines.
-constexpr double kBaselineEventsPerS64 = 1.02e6;
-constexpr double kBaselineEventsPerS256 = 2.00e5;
-constexpr double kBaselineEventsPerS1024 = 4.67e4;
-
 double wall_ms(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -207,25 +198,20 @@ int main(int argc, char** argv) {
 
   {
     Table table({"n", "sim events", "wall ms", "events/s", "peak queue",
-                 "msgs sent", "vs PR-1"});
+                 "msgs sent"});
     const std::vector<int> sizes = smoke ? std::vector<int>{64}
                                          : std::vector<int>{64, 256, 1024};
     for (const int n : sizes) {
-      const double baseline = n == 64    ? kBaselineEventsPerS64
-                              : n == 256 ? kBaselineEventsPerS256
-                                         : kBaselineEventsPerS1024;
       const ClusterConfig config = gossip_config(n);
       ClusterReport r;
       const double ms = wall_ms([&] { r = cluster::run_cluster(config, 0xe12); });
       const double events_per_s =
           ms > 0.0 ? static_cast<double>(r.events_executed) / (ms / 1000.0)
                    : 0.0;
-      const double speedup = baseline > 0.0 ? events_per_s / baseline : 0.0;
       table.add_row({Table::num(n), Table::num(r.events_executed),
                      Table::fixed(ms, 1), Table::fixed(events_per_s, 0),
                      Table::num(r.peak_event_queue),
-                     Table::num(r.messages_sent),
-                     Table::fixed(speedup, 2) + "x"});
+                     Table::num(r.messages_sent)});
       json.row("cluster")
           .str("topology", "gossip")
           .num("n", n)
@@ -234,8 +220,7 @@ int main(int argc, char** argv) {
           .num("wall_ms", ms)
           .num("events_per_s", events_per_s)
           .num("peak_event_queue", static_cast<double>(r.peak_event_queue))
-          .num("messages_sent", static_cast<double>(r.messages_sent))
-          .num("speedup_vs_prerefactor", speedup);
+          .num("messages_sent", static_cast<double>(r.messages_sent));
     }
     table.print("E12a: cluster engine throughput (12s simulated, gossip)");
   }
@@ -319,24 +304,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\ntrace overhead: %.1f%% (events/s ratio %.3f)\n\n",
                 (1.0 - ratio) * 100.0, ratio);
-  }
-
-  {
-    struct Baseline {
-      int n;
-      double events_per_s;
-    };
-    const std::vector<Baseline> baselines = {
-        {64, kBaselineEventsPerS64},
-        {256, kBaselineEventsPerS256},
-        {1024, kBaselineEventsPerS1024},
-    };
-    for (const auto& b : baselines) {
-      json.row("prerefactor_baseline")
-          .str("topology", "gossip")
-          .num("n", b.n)
-          .num("events_per_s", b.events_per_s);
-    }
   }
 
   {

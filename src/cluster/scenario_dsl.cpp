@@ -127,8 +127,8 @@ bool parse_integer(const Statement& st, const KeyVal& kv, std::int64_t& out,
 }
 
 /// Node set: comma-separated ids and lo-hi ranges, e.g. `0-3,7,9`.
-bool parse_set(const Statement& st, const KeyVal& kv, std::string_view text,
-               int text_col, std::vector<NodeId>& out, DslError& err) {
+bool parse_set(const Statement& st, std::string_view text, int text_col,
+               std::vector<NodeId>& out, DslError& err) {
   std::size_t pos = 0;
   if (text.empty()) return fail(err, st.line, text_col, "empty node set");
   while (pos < text.size()) {
@@ -301,7 +301,7 @@ struct Parser {
                 std::vector<NodeId>& out) {
     const KeyVal* kv = nullptr;
     if (!required(st, key, kv)) return false;
-    if (!parse_set(st, *kv, kv->value, kv->value_col, out, err)) {
+    if (!parse_set(st, kv->value, kv->value_col, out, err)) {
       return false;
     }
     return check_ids(st, *kv, out);
@@ -433,7 +433,7 @@ struct Parser {
         const std::size_t bar = rest.find('|');
         const std::string_view part = rest.substr(0, bar);
         groups.emplace_back();
-        if (!parse_set(st, *kv, part, col, groups.back(), err)) return false;
+        if (!parse_set(st, part, col, groups.back(), err)) return false;
         if (!check_ids(st, *kv, groups.back())) return false;
         if (bar == std::string_view::npos) break;
         rest = rest.substr(bar + 1);
@@ -660,13 +660,13 @@ struct Parser {
       std::vector<NodeId> joins;
       std::vector<NodeId> leaves;
       if (const KeyVal* kv = find(st, "join")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, joins, err) ||
+        if (!parse_set(st, kv->value, kv->value_col, joins, err) ||
             !check_ids(st, *kv, joins)) {
           return false;
         }
       }
       if (const KeyVal* kv = find(st, "leave")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, leaves, err) ||
+        if (!parse_set(st, kv->value, kv->value_col, leaves, err) ||
             !check_ids(st, *kv, leaves)) {
           return false;
         }

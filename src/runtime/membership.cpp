@@ -99,10 +99,18 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
     }
   };
 
+  // The self-rescheduling timer closures live here, outliving
+  // queue.run_until below, and reschedule themselves through a plain
+  // pointer: a closure owning its own shared_ptr would be a reference
+  // cycle, leaked on every run.
+  std::vector<std::function<void()>> pumps(
+      static_cast<std::size_t>(config.n));
+  std::vector<std::function<void()>> checks(
+      static_cast<std::size_t>(config.n));
+
   // Heartbeat pumps.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> pump =
-        std::make_shared<std::function<void()>>();
+    std::function<void()>* pump = &pumps[static_cast<std::size_t>(i)];
     *pump = [&, i, pump] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();
@@ -122,8 +130,7 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
 
   // Coordinator check loops.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> check =
-        std::make_shared<std::function<void()>>();
+    std::function<void()>* check = &checks[static_cast<std::size_t>(i)];
     *check = [&, i, check] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();

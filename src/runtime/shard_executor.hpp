@@ -9,7 +9,7 @@
 // per run instead of twice per check tick.
 //
 // SpinBarrier is a generation-counter barrier: arrivals spin briefly on
-// the generation atomic (bounded by spin_iterations, with periodic
+// the generation atomic (bounded by default_spin_iterations(), with periodic
 // yields so oversubscribed hosts make progress), then park in
 // std::atomic::wait — futex-backed on Linux — until the last arriver
 // bumps the generation and notifies. abort() releases every current and
@@ -96,11 +96,6 @@ class SpinBarrier {
 
   int parties() const { return parties_; }
 
-  /// 0 parks immediately (measures the condvar-style cost floor);
-  /// larger values spin longer before the futex wait.
-  void set_spin_iterations(int iterations) { spin_iterations_ = iterations; }
-  int spin_iterations() const { return spin_iterations_; }
-
   /// Blocks until all parties arrive (or the barrier is aborted).
   /// Returns true on a normal release, false once aborted — callers
   /// must treat false as "unwind now", and must not arrive again until
@@ -151,7 +146,7 @@ class SpinBarrier {
 
  private:
   const int parties_;
-  int spin_iterations_;
+  const int spin_iterations_;
   alignas(64) std::atomic<std::uint64_t> gen_{0};
   alignas(64) std::atomic<int> arrived_{0};
   std::atomic<bool> aborted_{false};
@@ -171,11 +166,6 @@ class ShardExecutor {
   /// (parties == shards()). run() rearms it before each dispatch.
   SpinBarrier& barrier() { return barrier_; }
 
-  /// Forwarded to the barrier; 0 = park immediately (condvar-style).
-  void set_spin_iterations(int iterations) {
-    barrier_.set_spin_iterations(iterations);
-  }
-
   /// Invokes fn(s) for every shard 0..shards()-1 concurrently and
   /// returns once all invocations finished (a full join). If any
   /// shard's callback throws, the barrier is aborted — peers blocked in
@@ -183,10 +173,6 @@ class ShardExecutor {
   /// lowest-shard exception is rethrown here after the join. The pool
   /// and barrier remain usable for further run() calls.
   void run(FnRef fn);
-
-  /// Legacy fork-join entry, now an alias for run(). Kept so callers
-  /// that dispatch short phases (tests, ad-hoc tools) read naturally.
-  void parallel(FnRef fn) { run(fn); }
 
  private:
   void worker(int shard);

@@ -57,8 +57,9 @@ inline ClusterConfig scenario_cluster_config(const ScenarioDoc& doc) {
 }
 
 /// Every report field a run produces, serialized for one-shot equality.
-/// Shared by the shard-count and lookahead invariance suites: both assert
-/// field-identical reports against a baseline run.
+/// Shared by the shard-count invariance suites (shard_determinism_test,
+/// byzantine_test): both assert field-identical reports against a
+/// baseline run.
 inline std::string report_fingerprint(const ClusterReport& r) {
   std::ostringstream ss;
   ss.precision(17);

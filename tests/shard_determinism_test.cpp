@@ -4,6 +4,7 @@
 // same scenarios at shards = 1, 2 and 4 and require field-identical
 // reports and byte-identical JSONL traces (see cluster/engine.cpp for
 // the barrier protocol and the determinism argument being verified).
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/engine.hpp"
+#include "obs/replay.hpp"
 #include "scenario_test_util.hpp"
 
 namespace rfd::cluster {
@@ -136,6 +138,54 @@ TEST(ShardDeterminism, SlowNodesScenarioIsShardCountInvariant) {
 
 TEST(ShardDeterminism, AsymmetricPartitionScenarioIsShardCountInvariant) {
   expect_scenario_file_shard_invariant("asymmetric_partition.scn", "oneway");
+}
+
+TEST(ShardDeterminism, PresetStopFlagEndsAfterFirstTickAtEveryShardCount) {
+  // The stop decision travels from the coordinator to the workers over
+  // the release barrier; a flag already set must end the run after the
+  // first check tick - every shard together - with the run finalized as
+  // normal: identical reports and trace bytes at every shard count, the
+  // end footer written, and the trace still a complete QoS record.
+  const std::atomic<bool> stop{true};
+  ClusterConfig config = shard_config(24);
+  config.scenario.crash(50.0, 3);
+  config.stop = &stop;
+  config.obs.snapshot_every_ticks = 1;
+  std::string baseline_report;
+  std::string baseline_trace;
+  for (const int shards : {1, 2, 4}) {
+    config.shards = shards;
+    const std::string path = temp_trace_path("stop", shards);
+    config.obs.trace_path = path;
+    const ClusterReport report = run_cluster(config, 7);
+    EXPECT_EQ(report.duration_ms, config.check_interval_ms);
+    EXPECT_EQ(report.trace_dropped, 0);
+    const std::string trace = read_file(path);
+    const obs::ReplayQos replayed = obs::replay_qos(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    EXPECT_EQ(replayed.lost_records, 0);
+    EXPECT_EQ(replayed.detection_latency_ms.count(),
+              report.detection_latency_ms.count());
+    EXPECT_EQ(replayed.false_suspicions, report.false_suspicions);
+    EXPECT_EQ(replayed.suspicion_raises, report.suspicion_raises);
+    EXPECT_EQ(replayed.suspicion_clears, report.suspicion_clears);
+    ASSERT_FALSE(trace.empty());
+    ASSERT_EQ(trace.back(), '\n');
+    const std::size_t last = trace.rfind('\n', trace.size() - 2);
+    const std::string footer =
+        trace.substr(last == std::string::npos ? 0 : last + 1);
+    EXPECT_EQ(footer.rfind("{\"type\":\"end\",", 0), 0u) << footer;
+    EXPECT_NE(trace.find("{\"type\":\"snap\","), std::string::npos);
+    const std::string fingerprint = report_fingerprint(report);
+    if (shards == 1) {
+      baseline_report = fingerprint;
+      baseline_trace = trace;
+      continue;
+    }
+    EXPECT_EQ(fingerprint, baseline_report) << "shards=" << shards;
+    EXPECT_EQ(trace, baseline_trace) << "shards=" << shards;
+  }
 }
 
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {

@@ -17,7 +17,7 @@ TEST(ShardExecutor, RunsEveryShardOncePerInvocation) {
   ASSERT_EQ(executor.shards(), 4);
   std::vector<std::atomic<int>> hits(4);
   for (int round = 1; round <= 3; ++round) {
-    executor.parallel([&](int s) { ++hits[static_cast<std::size_t>(s)]; });
+    executor.run([&](int s) { ++hits[static_cast<std::size_t>(s)]; });
     for (int s = 0; s < 4; ++s) {
       EXPECT_EQ(hits[static_cast<std::size_t>(s)].load(), round);
     }
@@ -28,7 +28,7 @@ TEST(ShardExecutor, SingleShardRunsOnCallingThread) {
   ShardExecutor executor(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id seen;
-  executor.parallel([&](int s) {
+  executor.run([&](int s) {
     EXPECT_EQ(s, 0);
     seen = std::this_thread::get_id();
   });
@@ -38,7 +38,7 @@ TEST(ShardExecutor, SingleShardRunsOnCallingThread) {
 TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
   // The engine's correctness hinges on this: values shard A writes in
   // phase N are visible to shard B in phase N+1 with no synchronization
-  // beyond the parallel() barrier. Each shard writes its slot in phase
+  // beyond the run() join. Each shard writes its slot in phase
   // one; every shard sums all slots in phase two.
   constexpr int kShards = 4;
   constexpr int kRounds = 200;
@@ -46,9 +46,9 @@ TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
   std::vector<int> slots(kShards, 0);       // plain ints on purpose
   std::vector<long long> sums(kShards, 0);  // one writer each
   for (int round = 1; round <= kRounds; ++round) {
-    executor.parallel(
+    executor.run(
         [&](int s) { slots[static_cast<std::size_t>(s)] = round * (s + 1); });
-    executor.parallel([&](int s) {
+    executor.run([&](int s) {
       long long sum = 0;
       for (const int v : slots) sum += v;
       sums[static_cast<std::size_t>(s)] = sum;
@@ -65,7 +65,7 @@ TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
 TEST(ShardExecutor, LowestShardExceptionPropagates) {
   ShardExecutor executor(3);
   try {
-    executor.parallel([](int s) {
+    executor.run([](int s) {
       if (s >= 1) throw std::runtime_error("shard " + std::to_string(s));
     });
     FAIL() << "expected the shard exception to be rethrown";
@@ -74,21 +74,21 @@ TEST(ShardExecutor, LowestShardExceptionPropagates) {
   }
   // The pool survives a throwing invocation.
   std::atomic<int> hits{0};
-  executor.parallel([&](int) { ++hits; });
+  executor.run([&](int) { ++hits; });
   EXPECT_EQ(hits.load(), 3);
 }
 
 TEST(ShardExecutor, WorkerResidentLoopStressSpinThenPark) {
   // The engine's worker-resident shape: one run() dispatch, shards
-  // looping rounds against the executor's SpinBarrier. A deliberately
-  // tiny spin budget plus randomized per-shard stalls forces every
-  // combination of fast-path spin release and futex park/wake, while
+  // looping rounds against the executor's SpinBarrier. Randomized
+  // per-shard stalls - most shorter than the spin budget, some far
+  // longer - force every combination of fast-path spin release and
+  // futex park/wake, while
   // the phase-data check proves each release is a full memory barrier
   // (writes before arrival visible to every shard after it).
   constexpr int kShards = 4;
   constexpr int kRounds = 150;
   ShardExecutor executor(kShards);
-  executor.set_spin_iterations(64);
   SpinBarrier& barrier = executor.barrier();
   std::vector<int> slots(kShards, 0);  // plain ints on purpose
   std::atomic<int> mismatches{0};
@@ -97,6 +97,8 @@ TEST(ShardExecutor, WorkerResidentLoopStressSpinThenPark) {
     for (int round = 1; round <= kRounds; ++round) {
       if ((rng() & 3u) == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(rng() % 300));
+      } else if ((rng() & 15u) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
       slots[static_cast<std::size_t>(s)] = round * (s + 1);
       if (!barrier.arrive_and_wait()) return;
@@ -113,14 +115,13 @@ TEST(ShardExecutor, WorkerResidentLoopStressSpinThenPark) {
 }
 
 TEST(ShardExecutor, SimultaneousExceptionsPickLowestShard) {
-  // Three shards throw at once while shard 0 sits parked (spin budget
-  // 0) in the barrier: the abort must futex-wake it with a false
-  // return, and the join must rethrow the lowest-shard exception no
-  // matter which throw won the race. Repeated to exercise the barrier
-  // reset/reuse path after each abort.
+  // Three shards throw at once while shard 0 sits parked in the barrier
+  // (the throwers stall well past the spin budget first): the abort
+  // must futex-wake it with a false return, and the join must rethrow
+  // the lowest-shard exception no matter which throw won the race.
+  // Repeated to exercise the barrier reset/reuse path after each abort.
   constexpr int kShards = 4;
   ShardExecutor executor(kShards);
-  executor.set_spin_iterations(0);
   for (int trial = 0; trial < 5; ++trial) {
     try {
       executor.run([&](int s) {
@@ -129,6 +130,7 @@ TEST(ShardExecutor, SimultaneousExceptionsPickLowestShard) {
           }
           return;  // released by the abort, never a normal release
         }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
         throw std::runtime_error("shard " + std::to_string(s));
       });
       FAIL() << "expected the shard exception to be rethrown";
@@ -150,7 +152,7 @@ TEST(ShardExecutor, ThreadLogBuffersCaptureWorkerLines) {
   const LogLevel saved = log_level();
   set_log_level(LogLevel::kInfo);
   std::vector<std::vector<BufferedLogLine>> buffers(kShards);
-  executor.parallel([&](int s) {
+  executor.run([&](int s) {
     const ScopedThreadLogBuffer scope(&buffers[static_cast<std::size_t>(s)]);
     RFD_LOG(kInfo) << "hello from shard " << s;
     RFD_LOG(kDebug) << "suppressed";  // below the level: not buffered
