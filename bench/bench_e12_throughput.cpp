@@ -14,6 +14,12 @@
 //       frozen copy of the pre-refactor std::function + binary-heap core -
 //       so the core-level speedup stays measurable across future PRs.
 //
+// Section (d), adaptive: full-digest gossip at n=256 with Chen and phi
+// detectors, whose per-pair windows live in each node's ring slab.
+// Reports node heap bytes per (observer, peer) pair, read from malloc's
+// in-use total (mallinfo2) around a set of warm nodes, and wall ms per
+// simulated second of a full run. It runs in smoke mode too.
+//
 // RFD_E12_SMOKE=1 restricts section (a) to n=64 for CI smoke runs.
 //
 // RFD_E12_TRACE=1 adds section (c): the observability overhead check.
@@ -23,6 +29,7 @@
 // RFD_E12_TRACE_PATH (default e12_trace.jsonl). CI gates on the
 // events/sec ratio staying >= 0.95.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -34,6 +41,7 @@
 
 #include "bench_util.hpp"
 #include "cluster/engine.hpp"
+#include "cluster/node.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -96,6 +104,52 @@ ClusterConfig gossip_config(int n) {
   config.scenario =
       cluster::multi_crash_scenario(n, crashes, config.duration_ms * 0.4);
   return config;
+}
+
+/// Full-digest gossip at n with an adaptive detector, heartbeat and
+/// check grid at 100 ms and a crash wave at 40% of a 12 s run: the regime
+/// in which phi (threshold 8, 150 ms stddev floor) and Chen (800 ms
+/// margin) both stay near zero false suspicions.
+ClusterConfig adaptive_config(int n, rt::DetectorKind kind) {
+  ClusterConfig config;
+  config.n = n;
+  config.topology.kind = TopologyKind::kGossip;
+  config.topology.digest_size = n;
+  config.heartbeat_interval_ms = 100.0;
+  config.check_interval_ms = 100.0;
+  config.detector.kind = kind;
+  config.detector.chen.alpha_ms = 800.0;
+  config.detector.phi.min_stddev_ms = 150.0;
+  config.duration_ms = 12'000.0;
+  config.scenario = cluster::multi_crash_scenario(n, std::max(1, n / 64),
+                                                  config.duration_ms * 0.4);
+  return config;
+}
+
+/// Node heap bytes per (observer, peer) pair: malloc's in-use growth over
+/// building `nodes` nodes of an n-node cluster in which every peer has
+/// advanced enough times to fill its window.
+double node_heap_bytes_per_pair(const ClusterConfig& config, int nodes) {
+  const auto in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  cluster::NodeParams params;
+  params.detector = config.detector;
+  const int n = config.n;
+  const int beats =
+      std::max(config.detector.chen.window, config.detector.phi.window) + 2;
+  const double before = in_use();
+  std::vector<cluster::ClusterNode> fabric;
+  fabric.reserve(static_cast<std::size_t>(nodes));
+  for (int k = 0; k < nodes; ++k) {
+    cluster::ClusterNode& node = fabric.emplace_back(k, n, params);
+    for (int p = 0; p < n; ++p) node.learn_peer(p, 0.0);
+    for (int b = 1; b <= beats; ++b) {
+      for (int p = 0; p < n; ++p) node.observe(p, b, 100.0 * b);
+    }
+  }
+  return (in_use() - before) / (static_cast<double>(nodes) * n);
 }
 
 // ------------------------------------------------------------------ legacy
@@ -304,6 +358,35 @@ int main(int argc, char** argv) {
     }
     std::printf("\ntrace overhead: %.1f%% (events/s ratio %.3f)\n\n",
                 (1.0 - ratio) * 100.0, ratio);
+  }
+
+  {
+    constexpr int kN = 256;
+    Table table({"detector", "n", "node heap B/pair", "wall ms/sim-s",
+                 "msgs/node/s", "false/node/min"});
+    for (const rt::DetectorKind kind :
+         {rt::DetectorKind::kChen, rt::DetectorKind::kPhi}) {
+      const ClusterConfig config = adaptive_config(kN, kind);
+      const double heap = node_heap_bytes_per_pair(config, 32);
+      ClusterReport r;
+      const double ms =
+          wall_ms([&] { r = cluster::run_cluster(config, 0xe12); });
+      const double per_sim_s = ms / (config.duration_ms / 1000.0);
+      const std::string name = rt::detector_kind_name(kind);
+      table.add_row({name, Table::num(kN), Table::fixed(heap, 1),
+                     Table::fixed(per_sim_s, 1),
+                     Table::fixed(r.messages_per_node_per_s, 1),
+                     Table::fixed(r.false_suspicions_per_node_per_min, 2)});
+      json.row("adaptive")
+          .str("detector", name)
+          .num("n", kN)
+          .num("node_heap_bytes_per_pair", heap)
+          .num("wall_ms_per_sim_s", per_sim_s)
+          .num("msgs_per_node_per_s", r.messages_per_node_per_s)
+          .num("false_per_node_per_min",
+               r.false_suspicions_per_node_per_min);
+    }
+    table.print("E12d: adaptive detectors (gossip n=256, 12s simulated)");
   }
 
   {

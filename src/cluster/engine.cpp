@@ -246,6 +246,11 @@ class ClusterEngine {
         faults_(config.scenario.sorted()) {
     RFD_REQUIRE(config_.n >= 2);
     RFD_REQUIRE(max_nodes_ >= config_.n);
+    NodeParams node_params;
+    node_params.detector = config_.detector;
+    node_params.bootstrap_grace_ms = config_.bootstrap_grace_ms;
+    node_params.hot_transmissions = config_.hot_transmissions;
+    require_node_memory(config_.n, max_nodes_, node_params);
     {
       // Reject malformed timelines before any state exists: an unmatched
       // storm_off or link_up would silently corrupt the per-shard network
@@ -325,10 +330,6 @@ class ClusterEngine {
     }
     RFD_REQUIRE(lo == max_nodes_);
     executor_ = std::make_unique<rt::ShardExecutor>(shard_count_);
-    NodeParams node_params;
-    node_params.detector = config_.detector;
-    node_params.bootstrap_grace_ms = config_.bootstrap_grace_ms;
-    node_params.hot_transmissions = config_.hot_transmissions;
     nodes_.reserve(static_cast<std::size_t>(max_nodes_));
     const Rng base_rng(mix_seed(seed, 0x0dde));
     for (NodeId i = 0; i < max_nodes_; ++i) {

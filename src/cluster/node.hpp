@@ -26,22 +26,29 @@
 //     majority - is decided by this one load in a 4KB-per-node array
 //     that stays cache-resident, touching nothing else;
 //   - hot_ (one 16-byte PeerHot per peer): the known / suspected /
-//     fresh / armed flag bits, the remaining piggyback budget, and the
-//     last-heartbeat timestamp that is the inlined fixed-timeout
-//     detector's entire state. The kFixed detector - the cluster
-//     default and the only per-(observer, victim)-pair allocation at
-//     scale - thus needs no heap object, no virtual dispatch, and no
-//     extra cache line on an advance. The scan loops and digest
-//     keep()-filters read only the flags byte of it. kChen/kPhi keep
-//     their heap detector in the cold record;
-//   - eval_tick_ (8 bytes/peer): the engine's suspicion-wheel slot;
-//   - records_ (cold): known_since, suspect bookkeeping and the adaptive
-//     detector instance - touched on state transitions, not per entry.
+//     fresh / armed / started flag bits, the remaining piggyback budget,
+//     the last-heartbeat timestamp (the inlined fixed-timeout detector's
+//     entire state, and the adaptive detectors' latest arrival), and the
+//     head/count of the peer's adaptive window. The kFixed detector - the
+//     cluster default - thus needs no extra memory and no extra cache
+//     line on an advance. The scan loops and digest keep()-filters read
+//     only the flags byte of it;
+//   - eval_tick_ (8 bytes/peer): the engine's suspicion wheel slot;
+//   - records_ (cold, 16 bytes/peer): known_since and suspect_since -
+//     touched on state transitions, not per entry;
+//   - kChen / kPhi only: one ring slab of window x max_nodes doubles
+//     (peer p's window at p * window) and one small stats slot per peer
+//     (Chen: the expected arrival; phi: the fitted mean and variance).
+//     Both are allocated, not zero-filled, at the node's first adaptive
+//     advance; a peer's started flag says its slice holds valid state.
+//     The window math is rt's (runtime/detectors.hpp), run over a ring
+//     view of the slab; the kind is fixed per node, so dispatch is a
+//     branch, not a virtual call.
 // The hot-path queries and observe() are defined inline here so the
 // receive loop and the topology scans compile into flat array walks.
-// Detector state is created lazily on the first counter advance (a node
-// that has never been heard from is covered by the bootstrap grace
-// window instead).
+// Detector state starts on the first counter advance (a node that has
+// never been heard from is covered by the bootstrap grace window
+// instead).
 //
 // Heartbeat counters are stored as 32 bits (advance_own_counter guards
 // the bound): one counter per heartbeat interval means 2^31 intervals
@@ -63,13 +70,10 @@ namespace rfd::cluster {
 using rt::NodeId;
 
 /// Cold per-peer state: touched on membership / suspicion transitions and
-/// by the engine's suspicion wheel, never per digest entry.
+/// by the engine's suspicion wheel, never per digest entry. Detector state
+/// lives in PeerHot and, for kChen / kPhi, the node's ring slab.
 struct PeerRecord {
   double known_since = -1.0;
-  /// Adaptive (kChen / kPhi) detector instance, created on the first
-  /// evidence-bearing advance. Always null for kFixed - that detector
-  /// lives in the peer's PeerHot::last_heartbeat slot.
-  std::unique_ptr<rt::PeerDetector> detector;
   /// When the current suspicion started (engine bookkeeping; -1 = not
   /// suspected). Written through ClusterNode::set_suspected.
   double suspect_since = -1.0;
@@ -77,11 +81,16 @@ struct PeerRecord {
 
 /// Dense per-peer hot state; see the file header.
 struct PeerHot {
-  double last_heartbeat = -1.0;  // inlined kFixed detector state
-  std::uint8_t flags = 0;        // kKnown / kSuspected / kFresh / kArmed
+  /// Latest heartbeat (-1 = none): the whole kFixed detector; the latest
+  /// arrival of a started kChen / kPhi detector.
+  double last_heartbeat = -1.0;
+  std::uint8_t flags = 0;        // kKnown / kSuspected / kFresh / kArmed /
+                                 // kStarted
   std::int8_t hot_remaining = 0; // piggyback budget (> 0 <=> queued)
+  rt::RingPos ring;              // kChen / kPhi window in the ring slab
 };
 static_assert(sizeof(PeerHot) == 16, "PeerHot must stay one 16-byte slot");
+static_assert(sizeof(PeerRecord) == 16, "PeerRecord must stay 16 bytes");
 
 /// What one digest entry did to the receiver's state; lets the engine do
 /// its wheel bookkeeping without re-querying the record.
@@ -100,6 +109,18 @@ struct NodeParams {
   /// out of the hot queue (SWIM's bounded rumor retransmission).
   int hot_transmissions = 4;
 };
+
+/// Estimated bytes one node spends per peer slot with `params`: the dense
+/// arrays, the cold record, the hot queue and its scratch, and for kChen /
+/// kPhi the window's ring slab share and stats slot. A cluster of
+/// max_nodes nodes holds max_nodes^2 such slots.
+std::size_t node_bytes_per_peer(const NodeParams& params);
+
+/// Refuses, through RFD_REQUIRE_MSG, a cluster of `max_nodes` nodes (`n`
+/// initially active) whose estimated node state exceeds the host's
+/// MemAvailable - a clear message instead of a silent OOM kill. Call it
+/// before allocating any node. No-op where /proc/meminfo is unreadable.
+void require_node_memory(int n, int max_nodes, const NodeParams& params);
 
 class ClusterNode {
  public:
@@ -152,12 +173,7 @@ class ClusterNode {
         result.started_detector = h.last_heartbeat < 0.0;
         h.last_heartbeat = now;
       } else {
-        PeerRecord& r = records_[p];
-        if (r.detector == nullptr) {
-          r.detector = rt::make_detector(params_.detector);
-          result.started_detector = true;
-        }
-        r.detector->on_heartbeat(now);
+        result.started_detector = advance_adaptive(h, p, now);
       }
       enqueue_hot(h, p);
       result.advanced = true;
@@ -196,9 +212,8 @@ class ClusterNode {
       if (last < 0.0) return grace_expired(p, now);
       return now - last > fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_expired(p, now);
-    return r.detector->suspects(now);
+    if ((hot_[p].flags & kStartedFlag) == 0) return grace_expired(p, now);
+    return adaptive_suspects(p, now);
   }
 
   /// Expiry deadline for `peer`: absent further counter advances,
@@ -218,9 +233,8 @@ class ClusterNode {
       if (last < 0.0) return grace_deadline(p);
       return last + fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_deadline(p);
-    return r.detector->suspect_deadline();
+    if ((hot_[p].flags & kStartedFlag) == 0) return grace_deadline(p);
+    return adaptive_deadline(p);
   }
 
   /// Whether the detector's expiry deadline can only move forward on a
@@ -382,10 +396,10 @@ class ClusterNode {
   void reset_peers(double now, const std::vector<NodeId>& contacts);
 
   /// Checkpoint hooks: append this node's complete mutable state (own
-  /// counter, per-peer counters/flags/timestamps, detector instances,
-  /// hot-queue content) to `out` / restore it from a byte span. restore
-  /// assumes a freshly constructed node with the same (id, max_nodes,
-  /// params) - the checkpoint wrapper pins that with a config
+  /// counter, per-peer counters/flags/timestamps, adaptive detector
+  /// windows, hot-queue content) to `out` / restore it from a byte span.
+  /// restore assumes a freshly constructed node with the same (id,
+  /// max_nodes, params) - the checkpoint wrapper pins that with a config
   /// fingerprint - and returns false on a truncated or inconsistent
   /// payload, leaving the node unfit for use. A restored node continues
   /// exactly where the saved one stopped: same digests, same suspicion
@@ -410,6 +424,28 @@ class ClusterNode {
   static constexpr std::uint8_t kSuspectedFlag = 2;
   static constexpr std::uint8_t kFreshFlag = 4;
   static constexpr std::uint8_t kArmedFlag = 8;
+  /// kChen / kPhi: the peer's ring-slab slice and stats slot hold state.
+  /// Never written to checkpoints (the per-peer detector byte carries it).
+  static constexpr std::uint8_t kStartedFlag = 16;
+
+  /// Feeds one heartbeat to an adaptive detector, starting it on the
+  /// first; returns whether it started.
+  bool advance_adaptive(PeerHot& h, std::size_t p, double now);
+  bool adaptive_suspects(std::size_t p, double now) const;
+  double adaptive_deadline(std::size_t p) const;
+  void allocate_adaptive();
+  bool is_phi() const {
+    return params_.detector.kind == rt::DetectorKind::kPhi;
+  }
+  rt::RingRef ring(std::size_t p) {
+    return rt::RingRef{ring_slab_.get() + p * static_cast<std::size_t>(window_),
+                       window_, hot_[p].ring};
+  }
+  rt::RingView ring(std::size_t p) const {
+    return rt::RingView{
+        ring_slab_.get() + p * static_cast<std::size_t>(window_), window_,
+        hot_[p].ring};
+  }
 
   bool grace_expired(std::size_t p, double now) const {
     // Known but never heard: allow the bootstrap grace window, measured
@@ -431,6 +467,14 @@ class ClusterNode {
   /// kFixed, in which case each peer's PeerHot::last_heartbeat is its
   /// whole detector.
   double fixed_timeout_ms_ = -1.0;
+  /// kChen / kPhi: window length, phi's z threshold, and the ring slab
+  /// and stats slots (see the file header). Null until the first
+  /// adaptive advance; only the array of the node's kind is allocated.
+  int window_ = 0;
+  double phi_z_ = 0.0;
+  std::unique_ptr<double[]> ring_slab_;
+  std::unique_ptr<rt::PhiFit[]> phi_fit_;
+  std::unique_ptr<double[]> chen_expected_;
   /// Dense per-peer hot state (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;

@@ -69,11 +69,12 @@ class SoakRunner {
         max_nodes_(effective_max_nodes(config)),
         fingerprint_(soak_config_fingerprint(config)),
         faults_(config.scenario.sorted()) {
-    build_transport();
     cluster::NodeParams node_params;
     node_params.detector = config_.detector;
     node_params.bootstrap_grace_ms = config_.bootstrap_grace_ms;
     node_params.hot_transmissions = config_.hot_transmissions;
+    cluster::require_node_memory(config_.n, max_nodes_, node_params);
+    build_transport();
     nodes_.reserve(static_cast<std::size_t>(max_nodes_));
     Rng base(mix_seed(config_.seed, 0x50a4d00ull));
     for (rt::NodeId i = 0; i < max_nodes_; ++i) {

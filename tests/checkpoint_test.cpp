@@ -1,15 +1,21 @@
 // Checkpoint format and soak crash-resume tests: files round-trip,
 // corruption in any byte is caught by the CRC trailer, foreign configs
 // are refused, and a killed-and-resumed sim-backend soak produces the
-// exact outcome an uninterrupted run does.
+// exact outcome an uninterrupted run does - with the fixed, Chen and phi
+// detectors. A node's adaptive detector slice is also checked on its
+// own: the bytes are pinned, and malformed slices are refused.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "cluster/node.hpp"
 #include "cluster/scenario.hpp"
 #include "common/shutdown.hpp"
 #include "transport/checkpoint.hpp"
@@ -131,15 +137,18 @@ TEST(CheckpointFile, MissingFileReportsError) {
 
 // --- soak resume -----------------------------------------------------
 
-SoakConfig base_soak_config() {
+SoakConfig base_soak_config(
+    rt::DetectorKind kind = rt::DetectorKind::kFixed) {
   SoakConfig config;
   config.n = 10;
   config.seed = 20020623;
   config.tick_ms = 100.0;
   config.duration_ms = 24'000.0;
   config.network.loss_prob = 0.03;
-  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.kind = kind;
   config.detector.fixed.timeout_ms = 1'000.0;
+  config.detector.chen.alpha_ms = 400.0;
+  config.detector.phi.min_stddev_ms = 150.0;
   config.scenario.crash(4'000.0, 2)
       .partition(8'000.0, {{0, 1, 3, 4}, {5, 6, 7, 8, 9}})
       .heal(12'000.0)
@@ -148,31 +157,51 @@ SoakConfig base_soak_config() {
   return config;
 }
 
-TEST(SoakResume, MatchesUninterruptedRun) {
+/// FNV-1a 64-bit of a file's bytes, as fixed-width hex.
+std::string file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Kills a soak mid-run (after a checkpoint), resumes it, and expects the
+/// uninterrupted run's exact outcome; returns the digest of the
+/// checkpoint the first leg left behind.
+std::string expect_resume_exact(rt::DetectorKind kind, const char* tag) {
   reset_shutdown();
-  SoakConfig full = base_soak_config();
+  SoakConfig full = base_soak_config(kind);
   SoakReport uninterrupted;
   std::string error;
-  ASSERT_TRUE(run_soak(full, uninterrupted, error)) << error;
+  EXPECT_TRUE(run_soak(full, uninterrupted, error)) << error;
   // The timeline must actually exercise detection for this test to
   // mean anything.
-  ASSERT_GT(uninterrupted.raises, 0);
-  ASSERT_GT(uninterrupted.detection.count(), 0);
+  EXPECT_GT(uninterrupted.raises, 0);
+  EXPECT_GT(uninterrupted.detection.count(), 0);
 
-  const std::string ckpt = temp_path("resume");
-  SoakConfig first_leg = base_soak_config();
+  const std::string ckpt = temp_path(std::string("resume_") + tag);
+  SoakConfig first_leg = base_soak_config(kind);
   first_leg.duration_ms = 11'000.0;  // killed mid-partition
   first_leg.checkpoint_path = ckpt;
   first_leg.checkpoint_every_ms = 3'000.0;
   SoakReport half;
-  ASSERT_TRUE(run_soak(first_leg, half, error)) << error;
-  ASSERT_GT(half.checkpoints_written, 0);
+  EXPECT_TRUE(run_soak(first_leg, half, error)) << error;
+  EXPECT_GT(half.checkpoints_written, 0);
+  const std::string digest = file_digest(ckpt);
 
-  SoakConfig second_leg = base_soak_config();
+  SoakConfig second_leg = base_soak_config(kind);
   second_leg.checkpoint_path = ckpt;
   second_leg.resume = true;
   SoakReport resumed;
-  ASSERT_TRUE(run_soak(second_leg, resumed, error)) << error;
+  EXPECT_TRUE(run_soak(second_leg, resumed, error)) << error;
   EXPECT_TRUE(resumed.resumed);
 
   EXPECT_EQ(resumed.outcome_fingerprint, uninterrupted.outcome_fingerprint);
@@ -186,6 +215,24 @@ TEST(SoakResume, MatchesUninterruptedRun) {
   EXPECT_EQ(resumed.detection.count(), uninterrupted.detection.count());
   EXPECT_EQ(resumed.final_agreement, uninterrupted.final_agreement);
   std::remove(ckpt.c_str());
+  return digest;
+}
+
+TEST(SoakResume, MatchesUninterruptedRun) {
+  expect_resume_exact(rt::DetectorKind::kFixed, "fixed");
+}
+
+// The checkpoint digests were pinned before the adaptive detectors moved
+// from per-pair heap objects into the node's ring slab: the byte stream,
+// each pair's detector slice included, must not change with the layout.
+TEST(SoakResume, ChenMatchesUninterruptedRun) {
+  EXPECT_EQ(expect_resume_exact(rt::DetectorKind::kChen, "chen"),
+            "1285400cb83cf086");
+}
+
+TEST(SoakResume, PhiMatchesUninterruptedRun) {
+  EXPECT_EQ(expect_resume_exact(rt::DetectorKind::kPhi, "phi"),
+            "efe3a08f5c586f04");
 }
 
 TEST(SoakResume, RefusesForeignConfig) {
@@ -251,6 +298,140 @@ TEST(SoakShutdown, StopsAtNextTickAndStillCheckpoints) {
   ASSERT_TRUE(run_soak(second, resumed, error)) << error;
   EXPECT_TRUE(resumed.resumed);
   std::remove(ckpt.c_str());
+}
+
+// --- adaptive detector slices ----------------------------------------
+//
+// A node's checkpoint carries, per started (observer, peer) pair, one
+// length-prefixed detector slice: phi [last, mean, var, count,
+// intervals...], Chen [expected, count, arrivals...]. These tests edit
+// that slice in an otherwise valid stream.
+
+constexpr int kSliceWindow = 4;
+
+cluster::NodeParams slice_params(rt::DetectorKind kind) {
+  cluster::NodeParams params;
+  params.detector.kind = kind;
+  params.detector.phi.window = kSliceWindow;
+  params.detector.chen.window = kSliceWindow;
+  return params;
+}
+
+/// Node 0 of 2 after 7 advances from peer 1 (the window has wrapped).
+std::vector<std::uint8_t> saved_node(rt::DetectorKind kind) {
+  cluster::ClusterNode node(0, 2, slice_params(kind));
+  node.learn_peer(1, 0.0);
+  for (int k = 1; k <= 8; ++k) node.observe(1, k, 95.0 * k + 3.0 * (k % 3));
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  return bytes;
+}
+
+bool restores(rt::DetectorKind kind, const std::vector<std::uint8_t>& bytes) {
+  cluster::ClusterNode node(0, 2, slice_params(kind));
+  std::size_t consumed = 0;
+  return node.restore_state(bytes.data(), bytes.size(), consumed) &&
+         consumed == bytes.size();
+}
+
+// Fixed layout of a 2-node stream: header, then per peer 4 counter +
+// 10 hot + 8 eval-tick bytes, then peer 0's record (never started), then
+// peer 1's record: known_since, suspect_since, started byte, slice.
+constexpr std::size_t kHeader = 4 + 4 + 8 + 1 + 8 + 4 + 4;
+constexpr std::size_t kSliceLen = kHeader + 2 * (4 + 10 + 8) + 17 + 17;
+
+std::vector<double> slice_of(const std::vector<std::uint8_t>& bytes) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(bytes[kSliceLen + i]) << (8 * i);
+  }
+  std::vector<double> slice(len);
+  for (std::uint32_t k = 0; k < len; ++k) {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(bytes[kSliceLen + 4 + 8 * k + i])
+              << (8 * i);
+    }
+    std::memcpy(&slice[k], &bits, sizeof(bits));
+  }
+  return slice;
+}
+
+/// The stream with peer 1's slice replaced by `slice`.
+std::vector<std::uint8_t> with_slice(const std::vector<std::uint8_t>& bytes,
+                                     const std::vector<double>& slice) {
+  const std::size_t old_end = kSliceLen + 4 + 8 * slice_of(bytes).size();
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.begin() + kSliceLen);
+  const auto len = static_cast<std::uint32_t>(slice.size());
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  }
+  for (const double x : slice) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+  }
+  out.insert(out.end(), bytes.begin() + static_cast<std::ptrdiff_t>(old_end),
+             bytes.end());
+  return out;
+}
+
+void expect_slice_checks(rt::DetectorKind kind, std::size_t count_at) {
+  const std::vector<std::uint8_t> bytes = saved_node(kind);
+  const std::vector<double> slice = slice_of(bytes);
+  ASSERT_EQ(slice.size(), count_at + 1 + kSliceWindow);
+  ASSERT_EQ(slice[count_at], kSliceWindow);  // the window is full
+  EXPECT_TRUE(restores(kind, bytes));
+  EXPECT_TRUE(restores(kind, with_slice(bytes, slice)));  // editor is exact
+
+  // count > window, even when the slice really holds that many entries.
+  std::vector<double> over = slice;
+  over[count_at] = kSliceWindow + 1;
+  over.push_back(over.back() + 1.0);
+  EXPECT_FALSE(restores(kind, with_slice(bytes, over)));
+  // A truncated slice: its count promises one entry more than it holds.
+  std::vector<double> truncated = slice;
+  truncated.pop_back();
+  EXPECT_FALSE(restores(kind, with_slice(bytes, truncated)));
+  // A slice longer than its count says.
+  std::vector<double> longer = slice;
+  longer[count_at] = kSliceWindow - 1;
+  EXPECT_FALSE(restores(kind, with_slice(bytes, longer)));
+  // A stream cut inside the slice.
+  const std::vector<std::uint8_t> cut(
+      bytes.begin(),
+      bytes.begin() + static_cast<std::ptrdiff_t>(kSliceLen + 12));
+  EXPECT_FALSE(restores(kind, cut));
+  // A negative or NaN count.
+  std::vector<double> negative = slice;
+  negative[count_at] = -1.0;
+  EXPECT_FALSE(restores(kind, with_slice(bytes, negative)));
+}
+
+TEST(NodeCheckpoint, PhiSliceBoundsAreChecked) {
+  expect_slice_checks(rt::DetectorKind::kPhi, 3);
+}
+
+TEST(NodeCheckpoint, ChenSliceBoundsAreChecked) {
+  expect_slice_checks(rt::DetectorKind::kChen, 1);
+}
+
+TEST(NodeCheckpoint, AdaptiveNodeBytesArePinned) {
+  // Pinned before the compact-detector refactor (see the soak digests).
+  const auto digest = [](const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  EXPECT_EQ(digest(saved_node(rt::DetectorKind::kPhi)),
+            0xf6c3d02e9467609dull);
+  EXPECT_EQ(digest(saved_node(rt::DetectorKind::kChen)),
+            0x378f2d8ceb38e4f7ull);
 }
 
 }  // namespace

@@ -3,16 +3,28 @@
 // partition/heal scenario (all live nodes converge on the true crashed
 // set after heal), churn, delay storms, determinism under a fixed seed,
 // and the message-complexity separation (gossip sublinear vs all-to-all
-// quadratic) that the E11 bench measures at scale.
+// quadratic) that the E11 bench measures at scale. Also: the node's
+// compact Chen / phi state against the standalone rt detectors, and the
+// up-front memory budget.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <fstream>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/digest_codec.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/node.hpp"
 #include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
+#include "common/rng.hpp"
+#include "runtime/detectors.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/network.hpp"
+#include "transport/soak.hpp"
 
 namespace rfd::cluster {
 namespace {
@@ -298,6 +310,179 @@ TEST(Cluster, HierarchicalLoadSitsBetweenGossipAndAllToAll) {
   const ClusterReport ra = run_cluster(a, 1);
   EXPECT_GT(rh.messages_per_node_per_s, rg.messages_per_node_per_s);
   EXPECT_LT(rh.messages_per_node_per_s, ra.messages_per_node_per_s);
+}
+
+// ------------------------------------------------ compact adaptive detectors
+//
+// ClusterNode runs Chen and phi over its per-node ring slab; the
+// standalone rt detectors run the same math over a ring of their own.
+// Fed the same arrivals, both must give the same deadline and verdict,
+// bit for bit.
+
+NodeParams compact_params(rt::DetectorKind kind) {
+  NodeParams params;
+  params.detector.kind = kind;
+  params.detector.chen.window = 8;
+  params.detector.chen.alpha_ms = 150.0;
+  params.detector.phi.window = 8;
+  params.detector.phi.min_stddev_ms = 20.0;
+  params.bootstrap_grace_ms = 1'500.0;
+  return params;
+}
+
+/// One monitored peer, fed to the node and to its standalone twin.
+struct Twin {
+  NodeId peer = 0;
+  std::int32_t counter = 0;
+  double clock = 0.0;
+  std::unique_ptr<rt::PeerDetector> detector;
+};
+
+void expect_same_verdicts(const ClusterNode& node, const Twin& t) {
+  const double deadline = t.detector->suspect_deadline();
+  EXPECT_EQ(node.suspect_deadline(t.peer), deadline) << "peer " << t.peer;
+  const double after = std::nextafter(
+      deadline, std::numeric_limits<double>::infinity());
+  for (const double probe : {t.clock, deadline - 50.0, deadline, after,
+                             deadline + 50.0, t.clock + 10'000.0}) {
+    EXPECT_EQ(node.suspects(t.peer, probe), t.detector->suspects(probe))
+        << "peer " << t.peer << " at " << probe;
+  }
+}
+
+/// Jittered arrivals, with an occasional long gap, for each twin in turn;
+/// `rounds` arrivals per twin.
+void feed(ClusterNode& node, std::vector<Twin>& twins, Rng& rng,
+          int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    for (Twin& t : twins) {
+      t.clock += 60.0 + rng.uniform01() * 90.0 +
+                 (rng.below(12) == 0 ? 700.0 : 0.0);
+      ++t.counter;
+      ASSERT_TRUE(node.observe(t.peer, t.counter, t.clock).advanced);
+      t.detector->on_heartbeat(t.clock);
+      expect_same_verdicts(node, t);
+    }
+  }
+}
+
+void expect_compact_matches_standalone(rt::DetectorKind kind) {
+  const NodeParams params = compact_params(kind);
+  constexpr int kWindow = 8;
+  auto node = std::make_unique<ClusterNode>(0, 5, params);
+  Rng rng(kind == rt::DetectorKind::kPhi ? 0x9b1u : 0xc4eu);
+  std::vector<Twin> twins;
+  for (const NodeId peer : {1, 3, 4}) {
+    node->learn_peer(peer, 0.0);
+    // A first counter is membership, not liveness evidence.
+    EXPECT_FALSE(node->observe(peer, 1, 0.0).advanced);
+    twins.push_back(Twin{peer, 1, 0.0, rt::make_detector(params.detector)});
+  }
+  // Peer 2 is known but never heard: only the bootstrap grace covers it.
+  node->learn_peer(2, 0.0);
+  EXPECT_EQ(node->suspect_deadline(2), 1'500.0);
+  EXPECT_FALSE(node->suspects(2, 1'500.0));
+  EXPECT_TRUE(node->suspects(2, 1'500.5));
+
+  // Five windows of arrivals: every ring wraps several times.
+  feed(*node, twins, rng, 5 * kWindow);
+  EXPECT_EQ(node->suspect_deadline(2), 1'500.0);
+
+  // A checkpointed copy carries on exactly like the original.
+  std::vector<std::uint8_t> bytes;
+  node->save_state(bytes);
+  auto restored = std::make_unique<ClusterNode>(0, 5, params);
+  std::size_t consumed = 0;
+  ASSERT_TRUE(restored->restore_state(bytes.data(), bytes.size(), consumed));
+  EXPECT_EQ(consumed, bytes.size());
+  node = std::move(restored);
+  for (const Twin& t : twins) expect_same_verdicts(*node, t);
+  feed(*node, twins, rng, 2 * kWindow + 3);
+
+  // A restart forgets every window; detectors start over on the first
+  // advance after the new high-water mark, under a fresh grace window.
+  double reset_at = 0.0;
+  for (const Twin& t : twins) reset_at = std::max(reset_at, t.clock);
+  reset_at += 10.0;
+  node->reset_peers(reset_at, {1, 2, 3, 4});
+  for (Twin& t : twins) {
+    EXPECT_EQ(node->suspect_deadline(t.peer), reset_at + 1'500.0);
+    t.clock = reset_at;
+    ++t.counter;
+    EXPECT_FALSE(node->observe(t.peer, t.counter, t.clock).advanced);
+    t.detector = rt::make_detector(params.detector);
+  }
+  Twin& first = twins.front();
+  first.clock += 100.0;
+  ++first.counter;
+  const ObserveResult started =
+      node->observe(first.peer, first.counter, first.clock);
+  EXPECT_TRUE(started.advanced);
+  EXPECT_TRUE(started.started_detector);
+  first.detector->on_heartbeat(first.clock);
+  expect_same_verdicts(*node, first);
+  feed(*node, twins, rng, 3 * kWindow);
+  EXPECT_EQ(node->suspect_deadline(2), reset_at + 1'500.0);
+}
+
+TEST(CompactDetectors, PhiNodeMatchesStandaloneDetector) {
+  expect_compact_matches_standalone(rt::DetectorKind::kPhi);
+}
+
+TEST(CompactDetectors, ChenNodeMatchesStandaloneDetector) {
+  expect_compact_matches_standalone(rt::DetectorKind::kChen);
+}
+
+TEST(CompactDetectors, PhiThresholdIsSolvedOncePerRun) {
+  ClusterConfig config = base_config(TopologyKind::kGossip, 16);
+  config.detector.kind = rt::DetectorKind::kPhi;
+  config.detector.phi.threshold = 7.125;  // asked for nowhere else here
+  config.duration_ms = 3'000.0;
+  const std::uint64_t before = rt::phi_z_solves();
+  const ClusterReport report = run_cluster(config, 7);
+  EXPECT_GT(report.messages_sent, 0);
+  EXPECT_EQ(rt::phi_z_solves() - before, 1u);
+}
+
+bool meminfo_readable() {
+  std::ifstream in("/proc/meminfo");
+  std::string line;
+  return static_cast<bool>(std::getline(in, line));
+}
+
+TEST(MemoryBudgetDeathTest, OversizeClusterIsRefusedBeforeAllocating) {
+  if (!meminfo_readable()) GTEST_SKIP() << "no /proc/meminfo";
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // ~3.5e14 bytes of node state: an allocation attempt would die of
+  // bad_alloc (or the OOM killer), not with this message.
+  ClusterConfig config = base_config(TopologyKind::kGossip, 1 << 20);
+  config.max_nodes = 1 << 20;
+  config.detector.kind = rt::DetectorKind::kPhi;
+  EXPECT_DEATH(run_cluster(config, 7),
+               "too large.*n=1048576.*phi.*MemAvailable");
+
+  transport::SoakConfig soak;
+  soak.n = 1 << 20;
+  soak.detector.kind = rt::DetectorKind::kPhi;
+  transport::SoakReport report;
+  std::string error;
+  EXPECT_DEATH(transport::run_soak(soak, report, error),
+               "too large.*n=1048576.*phi.*MemAvailable");
+}
+
+TEST(MemoryBudget, EstimateCoversTheAdaptiveWindow) {
+  NodeParams fixed;
+  fixed.detector.kind = rt::DetectorKind::kFixed;
+  NodeParams phi = fixed;
+  phi.detector.kind = rt::DetectorKind::kPhi;
+  phi.detector.phi.window = 32;
+  NodeParams chen = fixed;
+  chen.detector.kind = rt::DetectorKind::kChen;
+  chen.detector.chen.window = 16;
+  EXPECT_EQ(node_bytes_per_peer(phi) - node_bytes_per_peer(fixed),
+            32 * sizeof(double) + sizeof(rt::PhiFit));
+  EXPECT_EQ(node_bytes_per_peer(chen) - node_bytes_per_peer(fixed),
+            16 * sizeof(double) + sizeof(double));
 }
 
 }  // namespace

@@ -49,8 +49,10 @@ ClusterConfig shard_config(int n) {
 
 using testutil::report_fingerprint;
 
-void expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
-                            const char* tag) {
+/// Runs `config` at shards 1, 2 and 4 and expects field-identical reports
+/// and byte-identical traces; returns the FNV-1a digest of the trace.
+std::string expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
+                                   const char* tag) {
   std::string baseline_report;
   std::string baseline_trace;
   for (const int shards : {1, 2, 4}) {
@@ -63,7 +65,7 @@ void expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
     const std::string fingerprint = report_fingerprint(report);
     const std::string trace = read_file(path);
     std::remove(path.c_str());
-    ASSERT_FALSE(trace.empty());
+    EXPECT_FALSE(trace.empty());
     if (shards == 1) {
       baseline_report = fingerprint;
       baseline_trace = trace;
@@ -77,6 +79,7 @@ void expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
     EXPECT_EQ(trace, baseline_trace)
         << tag << ": trace bytes diverged at shards=" << shards;
   }
+  return testutil::fnv1a_hex(baseline_trace);
 }
 
 TEST(ShardDeterminism, CalmRunIsShardCountInvariant) {
@@ -111,6 +114,19 @@ TEST(ShardDeterminism, PartitionHealAndChurnIsShardCountInvariant) {
         .leave(13'000.0, 11);
     expect_shard_invariant(config, seed, "scenario");
   }
+}
+
+TEST(ShardDeterminism, PhiCrashRunIsShardCountInvariant) {
+  // Every other case runs Chen; phi's per-pair window, fit and z
+  // threshold live in the observer's node, which each shard owns whole.
+  // The digests were pinned before the node's adaptive state moved into
+  // its ring slab, so they also hold the engine to the old phi results.
+  ClusterConfig config = shard_config(24);
+  config.detector.kind = rt::DetectorKind::kPhi;
+  config.detector.phi.min_stddev_ms = 150.0;
+  config.scenario.crash(4'000.0, 3).crash(4'000.0, 17);
+  EXPECT_EQ(expect_shard_invariant(config, 7, "phi"), "7766eaf650c39c3b");
+  EXPECT_EQ(expect_shard_invariant(config, 11, "phi"), "1febe4133aa1e5f8");
 }
 
 // The new fault primitives with shard-local state - directed link
