@@ -7,7 +7,8 @@
 //          [--n <count>]              initial nodes (default 16)
 //          [--duration <ms>]          simulated horizon (default 30000)
 //          [--tick <ms>]              heartbeat/check grid (default 100)
-//          [--detector fixed|chen|phi] (default fixed)
+//          [--detector fixed|chen|phi] (default fixed; chen runs alpha
+//                                     800 ms, phi a 150 ms stddev floor)
 //          [--timeout <ms>]           fixed detector timeout (default 1000)
 //          [--flaky]                  socket-boundary fault injection
 //          [--flaky-loss <p>]         injection loss probability
@@ -69,9 +70,15 @@ int main(int argc, char** argv) {
     config.detector.kind = rt::DetectorKind::kFixed;
     config.detector.fixed.timeout_ms = cli.get_double("timeout", 1'000.0);
   } else if (detector == "chen") {
+    // A gossiped counter arrives after a few hops, so its arrivals jitter
+    // far more than direct heartbeats do; these are the margins the E12d
+    // gossip cells run with (rt's defaults raise thousands of false
+    // suspicions here).
     config.detector.kind = rt::DetectorKind::kChen;
+    config.detector.chen.alpha_ms = 800.0;
   } else if (detector == "phi") {
     config.detector.kind = rt::DetectorKind::kPhi;
+    config.detector.phi.min_stddev_ms = 150.0;
   } else {
     std::fprintf(stderr, "soak: unknown detector \"%s\" (fixed|chen|phi)\n",
                  detector.c_str());

@@ -12,8 +12,8 @@
 // small for most of a run and bounded by one per heartbeat interval).
 //
 // Sorting by id is also what makes the receiver's observe() loop walk
-// its per-peer arrays in ascending index order - the cache-friendly
-// drain that removes the PR-5 observe hot spot - and it is lossless:
+// its per-peer arrays in ascending index order - a cache-friendly
+// drain instead of random access per entry - and it is lossless:
 // duplicate ids (a hot-queue entry also hit by the rotation cursor) are
 // kept as zero gaps, so the decoded entry count and multiset match the
 // selection exactly.
@@ -26,15 +26,7 @@
 
 namespace rfd::cluster {
 
-inline void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  while (v >= 0x80u) {
-    out.push_back(static_cast<std::uint8_t>(v | 0x80u));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/// Raw-cursor variant for the hot encode path: the caller guarantees at
+/// LEB128 varint write for the hot encode path: the caller guarantees at
 /// least 5 writable bytes at `p`.
 inline std::uint8_t* put_varint_raw(std::uint8_t* p, std::uint32_t v) {
   while (v >= 0x80u) {
@@ -45,24 +37,36 @@ inline std::uint8_t* put_varint_raw(std::uint8_t* p, std::uint32_t v) {
   return p;
 }
 
-/// Sequential reader over an encoded payload; the caller bounds reads by
-/// the encoded entry count, and the assert guards against truncation.
+/// Sequential reader over an encoded payload - the one varint decoder of
+/// the cluster stack. read() never reads past the buffer: it returns
+/// false on a truncated varint, and on one longer than the five bytes a
+/// 32-bit value needs or carrying bits beyond 32. varint() is for payloads
+/// this process encoded (or validate_digest() accepted) and aborts on a
+/// malformed one.
 class DigestReader {
  public:
   DigestReader(const std::uint8_t* data, std::size_t size)
       : p_(data), end_(data + size) {}
 
+  bool read(std::uint32_t& out) {
+    std::uint32_t value = 0;
+    for (unsigned shift = 0; shift < 35; shift += 7) {
+      if (p_ == end_) return false;
+      const std::uint8_t byte = *p_++;
+      if (shift == 28 && byte > 0x0fu) return false;
+      value |= static_cast<std::uint32_t>(byte & 0x7fu) << shift;
+      if ((byte & 0x80u) == 0) {
+        out = value;
+        return true;
+      }
+    }
+    return false;
+  }
+
   std::uint32_t varint() {
     std::uint32_t value = 0;
-    int shift = 0;
-    for (;;) {
-      RFD_REQUIRE_MSG(p_ != end_, "truncated digest payload");
-      const std::uint8_t byte = *p_++;
-      value |= static_cast<std::uint32_t>(byte & 0x7fu)
-               << static_cast<unsigned>(shift);
-      if ((byte & 0x80u) == 0) return value;
-      shift += 7;
-    }
+    RFD_REQUIRE_MSG(read(value), "malformed digest payload");
+    return value;
   }
 
   bool done() const { return p_ == end_; }

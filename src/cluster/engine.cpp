@@ -1,17 +1,13 @@
 #include "cluster/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
-#include <cmath>
-#include <limits>
-#include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "cluster/digest_codec.hpp"
+#include "cluster/node_step.hpp"
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -30,11 +26,15 @@ namespace {
 //
 // The node id space is partitioned into contiguous blocks, one per shard.
 // Each shard owns an EventQueue (heartbeat pump timers for its nodes), a
-// Network instance, a Topology instance, and per-shard replicas of the
-// scenario ground truth. Every worker runs the whole loop itself (the
-// engine dispatches each shard exactly once per run) and time advances
-// one check window per round, with three meets at the executor's spin
-// barrier per check tick k:
+// Network instance, and a NodeStep (cluster/node_step.hpp) for its block:
+// the per-node protocol - heartbeat send, the receive walk, the suspicion
+// wheel and the node effects of faults, with the shard's replica of the
+// scenario ground truth - that the soak runner drives too. The engine
+// itself keeps only the scheduling below and the QoS accounting (the
+// disagreeing-pair count, detection and convergence). Every worker runs
+// the whole loop itself (the engine dispatches each shard exactly once
+// per run) and time advances one check window per round, with three
+// meets at the executor's spin barrier per check tick k:
 //   1. run_window(k): each shard advances its local events (pumps, with
 //      scenario faults spliced in at their exact times) to T_k.
 //   2. Barrier, then deliver_and_evaluate(k): each shard collects the
@@ -49,11 +49,12 @@ namespace {
 // Messages are never delivered inside the window they were sent in:
 // every message - same-shard or cross-shard alike - is buffered and
 // applied at the first barrier T_b > arrival time, with the receiver
-// observing it at its true arrival timestamp. Applying them in one
-// sorted drain (by receiver, then arrival time, then sender, then the
-// sender's send sequence) is also what fixes the PR-5 observe() hot
-// spot: each receiver's per-peer arrays are walked once per round
-// instead of being re-fetched per message in arrival order.
+// observing it at its true arrival timestamp. Each shard keeps one
+// in-flight list; a barrier takes the messages due there and applies
+// them in one sorted drain (by receiver, then arrival time, then sender,
+// then the sender's send sequence), so each receiver's per-peer arrays
+// are walked once per round instead of re-fetched per message in arrival
+// order.
 //
 // Determinism argument - why every shard count produces bit-identical
 // metrics and traces on a fixed seed:
@@ -99,9 +100,19 @@ struct Message {
   /// Per-source send sequence: the shard-invariant tiebreak for two
   /// messages from one sender arriving at the same instant.
   std::uint32_t seq = 0;
+  /// The barrier that applies it (see barrier_index).
+  std::int64_t barrier = 0;
   /// Delta-compressed digest (see cluster/digest_codec.hpp).
   std::vector<std::uint8_t> payload;
 };
+
+/// The deterministic merge order of one barrier's deliveries.
+bool message_before(const Message& lhs, const Message& rhs) {
+  if (lhs.to != rhs.to) return lhs.to < rhs.to;
+  if (lhs.at != rhs.at) return lhs.at < rhs.at;
+  if (lhs.from != rhs.from) return lhs.from < rhs.from;
+  return lhs.seq < rhs.seq;
+}
 
 /// Per-shard staging buffer for trace records; the coordinator merges
 /// all shards' buffers into the TraceWriter once per round.
@@ -110,77 +121,41 @@ struct BufferSink final : obs::RecordSink {
   std::vector<obs::Record> records;
 };
 
-/// Suspicion-deadline wheel over check ticks: a ring for the near future
-/// (detector timeouts span a handful of ticks) with a far-map fallback,
-/// replacing the old per-tick unordered_map buckets. push() is an
-/// amortized O(1) vector append into the tick's slot.
-class EvalWheel {
- public:
-  void push(std::int64_t current_tick, std::int64_t tick,
-            std::uint64_t key) {
-    // Slot reuse is safe up to a full revolution: tick <= current + kSlots
-    // lands in a slot that cannot be drained again before `tick`.
-    if (tick - current_tick <= kSlots) {
-      ring_[static_cast<std::size_t>(tick & (kSlots - 1))].push_back(key);
-    } else {
-      far_[tick].push_back(key);
-    }
-  }
-
-  void drain(std::int64_t tick, std::vector<std::uint64_t>& out) {
-    out.swap(ring_[static_cast<std::size_t>(tick & (kSlots - 1))]);
-    const auto it = far_.find(tick);
-    if (it != far_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-      far_.erase(it);
-    }
-  }
-
- private:
-  static constexpr std::int64_t kSlots = 512;  // power of two
-  std::array<std::vector<std::uint64_t>, kSlots> ring_;
-  std::map<std::int64_t, std::vector<std::uint64_t>> far_;
-};
-
 /// Coordinator-side record of one fault a shard found effective; shard 0
 /// stages these so the coordinator can do the cluster-global bookkeeping
-/// (disruption counting, convergence timing, detection baselines) at the
-/// next barrier.
+/// (disruption counting, convergence timing) at the next barrier.
 struct FaultNote {
   std::size_t index = 0;  // into the sorted fault list
   double at = 0.0;
 };
 
 struct ShardState {
+  ShardState(NodeSet& set, int shard_index, NodeId lo, NodeId hi,
+             const ClusterConfig& config)
+      : index(shard_index),
+        step(set, lo, hi, config.topology, config.check_interval_ms) {}
+
   int index = 0;
-  NodeId lo = 0;  // owned node range [lo, hi)
-  NodeId hi = 0;
 
   rt::EventQueue queue;
   std::unique_ptr<rt::Network> network;
-  std::unique_ptr<Topology> topology;
+  /// The protocol of the owned nodes, with this shard's replica of the
+  /// ground truth (every shard applies every fault to its own copy, so
+  /// window-time reads never cross shards).
+  NodeStep step;
   BufferSink sink;
   obs::RecordSink* trace = nullptr;  // &sink when tracing, else null
   std::unique_ptr<obs::Profiler> profiler;
   std::vector<BufferedLogLine> log_buf;
 
-  // Ground-truth replicas (every shard applies every fault to its own
-  // copy, so window-time reads never cross shards).
-  std::vector<char> ever_active;
-  std::vector<char> truth_active;
   std::int64_t disagreeing = 0;
-
-  std::int64_t check_tick = 0;
   std::size_t fault_cursor = 0;
-  EvalWheel wheel;
 
   // Message plumbing: per-destination-shard outboxes filled during the
-  // window, and delivery buckets keyed by barrier index (ring + far map).
+  // window, and the messages filed for a later barrier, in no order.
   std::vector<std::uint32_t> send_seq;
   std::vector<std::vector<Message>> outbox;
-  std::vector<std::vector<Message>> buckets;
-  std::map<std::int64_t, std::vector<Message>> far_buckets;
-  std::int64_t pending_msgs = 0;
+  std::vector<Message> in_flight;
   std::int64_t delivered_msgs = 0;
   std::vector<std::vector<std::uint8_t>> payload_pool;
 
@@ -192,15 +167,8 @@ struct ShardState {
   std::int64_t c_clears = 0;
   std::int64_t c_false = 0;
 
-  std::vector<NodeId> targets_scratch;
-  std::vector<NodeId> digest_scratch;
-  std::vector<std::uint64_t> wheel_scratch;
-  /// Scratch bitmap over node ids for sort_ids(); all-zero between calls.
-  std::vector<std::uint64_t> id_bits;
-
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
-
 };
 
 /// Total order for the per-round trace merge: records sort by time, then
@@ -246,11 +214,6 @@ class ClusterEngine {
         faults_(config.scenario.sorted()) {
     RFD_REQUIRE(config_.n >= 2);
     RFD_REQUIRE(max_nodes_ >= config_.n);
-    NodeParams node_params;
-    node_params.detector = config_.detector;
-    node_params.bootstrap_grace_ms = config_.bootstrap_grace_ms;
-    node_params.hot_transmissions = config_.hot_transmissions;
-    require_node_memory(config_.n, max_nodes_, node_params);
     {
       // Reject malformed timelines before any state exists: an unmatched
       // storm_off or link_up would silently corrupt the per-shard network
@@ -290,6 +253,11 @@ class ClusterEngine {
     }
     const bool profile = obs::kEnabled && config_.obs.profile;
 
+    nodes_.emplace(config_.n, max_nodes_,
+                   NodeParams{config_.detector, config_.bootstrap_grace_ms,
+                              config_.hot_transmissions},
+                   mix_seed(seed, 0x0dde));
+
     // Shards own contiguous node blocks; sizes differ by at most one.
     owner_.assign(static_cast<std::size_t>(max_nodes_), 0);
     shards_.reserve(static_cast<std::size_t>(shard_count_));
@@ -297,73 +265,38 @@ class ClusterEngine {
     const int extra = max_nodes_ % shard_count_;
     NodeId lo = 0;
     for (int s = 0; s < shard_count_; ++s) {
-      auto shard = std::make_unique<ShardState>();
-      shard->index = s;
-      shard->lo = lo;
-      shard->hi = lo + base + (s < extra ? 1 : 0);
-      lo = shard->hi;
+      const NodeId hi = lo + base + (s < extra ? 1 : 0);
+      auto shard = std::make_unique<ShardState>(*nodes_, s, lo, hi, config_);
+      lo = hi;
       shard->network = std::make_unique<rt::Network>(
           shard->queue, mix_seed(seed, 0xc1e5), config_.network);
-      shard->topology = make_topology(config_.topology, max_nodes_);
       if (trace_ != nullptr) {
         shard->trace = &shard->sink;
         shard->network->set_trace(shard->trace);
+        shard->step.set_trace(shard->trace);
       }
-      shard->topology->set_trace(shard->trace, &shard->queue);
+      shard->step.topology().set_trace(shard->trace, &shard->queue);
       if (profile) {
         shard->profiler =
             std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
         shard->queue.set_profiler(shard->profiler.get());
         shard->network->set_profiler(shard->profiler.get());
+        shard->step.set_profiler(shard->profiler.get());
       }
-      shard->ever_active.assign(static_cast<std::size_t>(max_nodes_), 0);
-      shard->truth_active.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->outbox.resize(static_cast<std::size_t>(shard_count_));
-      shard->buckets.resize(kBucketSlots);
-      shard->id_bits.assign(static_cast<std::size_t>(max_nodes_ + 63) / 64,
-                            0);
-      for (NodeId j = shard->lo; j < shard->hi; ++j) {
+      for (NodeId j = shard->step.lo(); j < shard->step.hi(); ++j) {
         owner_[static_cast<std::size_t>(j)] = s;
       }
+      shard->step.seed(config_.n);
       shards_.push_back(std::move(shard));
     }
     RFD_REQUIRE(lo == max_nodes_);
     executor_ = std::make_unique<rt::ShardExecutor>(shard_count_);
-    nodes_.reserve(static_cast<std::size_t>(max_nodes_));
-    const Rng base_rng(mix_seed(seed, 0x0dde));
-    for (NodeId i = 0; i < max_nodes_; ++i) {
-      nodes_.emplace_back(i, max_nodes_, node_params);
-      rngs_.push_back(base_rng.split(static_cast<std::uint64_t>(i)));
-    }
-
-    down_since_.assign(static_cast<std::size_t>(max_nodes_), -1.0);
-    lying_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    lie_delta_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    lie_value_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    for (auto& shard : shards_) {
-      for (NodeId i = 0; i < config_.n; ++i) {
-        shard->ever_active[static_cast<std::size_t>(i)] = 1;
-        shard->truth_active[static_cast<std::size_t>(i)] = 1;
-      }
-    }
-    for (NodeId i = config_.n; i < max_nodes_; ++i) {
-      nodes_[static_cast<std::size_t>(i)].set_active(false);
-    }
-    // The initial membership list is configuration, not discovery.
-    for (NodeId i = 0; i < config_.n; ++i) {
-      ShardState& shard = *shards_[static_cast<std::size_t>(
-          owner_[static_cast<std::size_t>(i)])];
-      for (NodeId j = 0; j < config_.n; ++j) {
-        if (i == j) continue;
-        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
-        on_learned(shard, i, j);
-      }
-    }
 
     report_.n = config_.n;
     report_.max_nodes = max_nodes_;
-    report_.topology = shards_.front()->topology->name();
+    report_.topology = shards_.front()->step.topology().name();
     report_.detector = rt::detector_kind_name(config_.detector.kind);
     report_.duration_ms = config_.duration_ms;
   }
@@ -390,7 +323,7 @@ class ClusterEngine {
       // phase draws happen here in global id order, so every node's Rng
       // stream starts identically for every shard count.
       const double phase =
-          rngs_[static_cast<std::size_t>(i)].uniform01() *
+          nodes_->rngs[static_cast<std::size_t>(i)].uniform01() *
           config_.heartbeat_interval_ms;
       ShardState* shard = shards_[static_cast<std::size_t>(
                                       owner_[static_cast<std::size_t>(i)])]
@@ -419,8 +352,6 @@ class ClusterEngine {
   }
 
  private:
-  static constexpr std::int64_t kBucketSlots = 256;  // power of two
-
   /// The worker-resident round loop; every shard runs this once per
   /// simulation (shard 0 on the calling thread). One round per check
   /// tick: window, exchange, coordinator step, release. stopped_early_
@@ -466,19 +397,12 @@ class ClusterEngine {
     if (s == 0) merge_inline();
   }
 
-  bool owns(const ShardState& shard, NodeId j) const {
-    return j >= shard.lo && j < shard.hi;
-  }
-
   bool truly_down(const ShardState& shard, NodeId j) const {
-    return shard.ever_active[static_cast<std::size_t>(j)] != 0 &&
-           shard.truth_active[static_cast<std::size_t>(j)] == 0;
+    return shard.step.truth().down(j);
   }
 
-  std::uint64_t pair_key(NodeId i, NodeId j) const {
-    return static_cast<std::uint64_t>(i) *
-               static_cast<std::uint64_t>(max_nodes_) +
-           static_cast<std::uint64_t>(j);
+  const ClusterNode& node(NodeId i) const {
+    return nodes_->nodes[static_cast<std::size_t>(i)];
   }
 
   /// First barrier at which a message arriving at `at` may be applied:
@@ -491,53 +415,14 @@ class ClusterEngine {
     return b;
   }
 
-  /// Arms pair (i, j) for evaluation at check tick `tick` (clamped to the
-  /// next tick). Earliest arming wins; superseded wheel entries are
-  /// skipped via the eval_tick mismatch when their tick comes up.
-  void arm_pair(ShardState& shard, NodeId i, NodeId j, std::int64_t tick) {
-    tick = std::max(tick, shard.check_tick + 1);
-    ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-    const std::int64_t current = node.eval_tick(j);
-    if (current >= 0 && current <= tick) return;
-    node.set_eval_tick(j, tick);
-    shard.wheel.push(shard.check_tick, tick, pair_key(i, j));
-  }
-
-  /// Check tick at which deadline `at` could first flip a verdict. One
-  /// tick early on purpose: arming early costs one extra suspects()
-  /// query, arming late would miss the tick the full scan would have
-  /// caught.
-  std::int64_t deadline_tick(double at) const {
-    return static_cast<std::int64_t>(std::floor(at / check_ms_)) - 1;
-  }
-
-  void arm_deadline(ShardState& shard, NodeId i, NodeId j) {
-    const double deadline =
-        nodes_[static_cast<std::size_t>(i)].suspect_deadline(j);
-    if (!std::isfinite(deadline)) return;
-    arm_pair(shard, i, j, deadline_tick(deadline));
-  }
-
-  /// Bookkeeping when observer `i` (owned by `shard`) first learns that
-  /// `j` exists: the fresh record is unsuspected, and the pair expires at
-  /// the end of the bootstrap grace window unless a counter advance
-  /// arrives first.
-  void on_learned(ShardState& shard, NodeId i, NodeId j) {
-    if (nodes_[static_cast<std::size_t>(i)].active() &&
-        truly_down(shard, j)) {
-      ++shard.disagreeing;
-    }
-    arm_deadline(shard, i, j);
-  }
-
   /// Adds (sign=+1) or removes (sign=-1) observer row `i`'s known pairs
   /// from the disagreement count, when the row enters or leaves the set
   /// of live observers. Called only on the shard owning `i`.
   void count_row(ShardState& shard, NodeId i, int sign) {
-    const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
+    const ClusterNode& row = node(i);
     for (NodeId j = 0; j < max_nodes_; ++j) {
-      if (j == i || !node.knows(j)) continue;
-      if (node.is_suspected(j) != truly_down(shard, j)) {
+      if (j == i || !row.knows(j)) continue;
+      if (row.is_suspected(j) != truly_down(shard, j)) {
         shard.disagreeing += sign;
       }
     }
@@ -548,41 +433,11 @@ class ClusterEngine {
   /// observer rows covers the column exactly once.
   void rescore_column(ShardState& shard, NodeId j) {
     const bool down = truly_down(shard, j);
-    for (NodeId i = shard.lo; i < shard.hi; ++i) {
-      const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-      if (i == j || !node.active() || !node.knows(j)) continue;
-      shard.disagreeing += (node.is_suspected(j) != down) ? 1 : 0;
-      shard.disagreeing -= (node.is_suspected(j) != !down) ? 1 : 0;
-    }
-  }
-
-  /// Sorts digest ids ascending in place for the codec. The selection is
-  /// near-unique ids bounded by max_nodes_, so a bitmap insert + ordered
-  /// bit walk beats a comparison sort per message; the rare duplicate (a
-  /// hot-queue id also hit by the rotation cursor) falls back to
-  /// std::sort. Either path yields the identical sorted multiset.
-  void sort_ids(ShardState& shard, std::vector<NodeId>& ids) {
-    auto& words = shard.id_bits;
-    for (const NodeId id : ids) {
-      const std::size_t w = static_cast<std::size_t>(id) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-      if ((words[w] & bit) != 0) {
-        for (const NodeId x : ids) words[static_cast<std::size_t>(x) >> 6] = 0;
-        std::sort(ids.begin(), ids.end());
-        return;
-      }
-      words[w] |= bit;
-    }
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t word = words[w];
-      if (word == 0) continue;
-      words[w] = 0;
-      do {
-        ids[n++] = static_cast<NodeId>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-      } while (word != 0);
+    for (NodeId i = shard.step.lo(); i < shard.step.hi(); ++i) {
+      const ClusterNode& row = node(i);
+      if (i == j || !row.active() || !row.knows(j)) continue;
+      shard.disagreeing += (row.is_suspected(j) != down) ? 1 : 0;
+      shard.disagreeing -= (row.is_suspected(j) != !down) ? 1 : 0;
     }
   }
 
@@ -593,90 +448,42 @@ class ClusterEngine {
     return buffer;
   }
 
-  /// Files a message into the owning shard's delivery buckets. `round` is
+  /// Files a message into the owning shard's in-flight list. `round` is
   /// the barrier index currently being produced (window k files for
-  /// buckets >= k; barrier-time collection files for >= the barrier's k).
+  /// barriers >= k; barrier-time collection files for >= the barrier's k).
   void file_message(ShardState& shard, std::int64_t round, Message&& m) {
-    const std::int64_t b = barrier_index(m.at);
-    RFD_REQUIRE(b >= round);
-    ++shard.pending_msgs;
-    if (b - round < kBucketSlots) {
-      shard.buckets[static_cast<std::size_t>(b & (kBucketSlots - 1))]
-          .push_back(std::move(m));
-    } else {
-      shard.far_buckets[b].push_back(std::move(m));
-    }
+    m.barrier = barrier_index(m.at);
+    RFD_REQUIRE(m.barrier >= round);
+    shard.in_flight.push_back(std::move(m));
   }
 
   void pump(ShardState& shard, NodeId i) {
-    ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-    if (node.active()) {
-      node.advance_own_counter();
-      std::uint32_t advertised =
-          static_cast<std::uint32_t>(node.own_counter());
-      if (lying_[static_cast<std::size_t>(i)] != 0) {
-        // The lie moves by delta per heartbeat interval while the true
-        // counter keeps its honest +1 underneath; clamping keeps the
-        // advertisement a plausible wire value whatever the delta.
-        double& v = lie_value_[static_cast<std::size_t>(i)];
-        v = std::clamp(v + lie_delta_[static_cast<std::size_t>(i)], 1.0,
-                       static_cast<double>(
-                           std::numeric_limits<std::int32_t>::max()));
-        advertised = static_cast<std::uint32_t>(v);
+    const std::int64_t window_round = shard.step.check_tick() + 1;
+    const double now = shard.queue.now();
+    shard.step.heartbeat(i, now, [&](NodeId target, std::size_t entries) {
+      shard.c_digest_entries += static_cast<std::int64_t>(entries);
+      // Draw the drop verdict before materializing anything: a lost or
+      // partitioned message must cost neither a payload buffer nor an
+      // in-flight entry. The digest selection still ran - it rotates
+      // hot-queue state, and a real sender pays that work (and the
+      // bandwidth) whether or not the packet survives.
+      const std::optional<double> delay = shard.network->route(i, target);
+      if (!delay) return;
+      Message m;
+      m.at = now + *delay;
+      m.from = i;
+      m.to = target;
+      m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
+      m.payload = take_payload(shard);
+      shard.step.encode(m.payload);
+      shard.c_payload_bytes += static_cast<std::int64_t>(m.payload.size());
+      const int dst = owner_[static_cast<std::size_t>(target)];
+      if (dst == shard.index) {
+        file_message(shard, window_round, std::move(m));
+      } else {
+        shard.outbox[static_cast<std::size_t>(dst)].push_back(std::move(m));
       }
-      shard.targets_scratch.clear();
-      shard.topology->targets(node, rngs_[static_cast<std::size_t>(i)],
-                              shard.targets_scratch);
-      const std::int64_t window_round = shard.check_tick + 1;
-      for (NodeId target : shard.targets_scratch) {
-        shard.digest_scratch.clear();
-        {
-          obs::ScopedPhase phase(shard.profiler.get(), obs::Phase::kDigest);
-          shard.topology->digest(node, target, shard.digest_scratch);
-        }
-        shard.c_digest_entries +=
-            static_cast<std::int64_t>(shard.digest_scratch.size());
-        if (shard.trace != nullptr) {
-          obs::Record r;
-          r.type = obs::RecordType::kHbSend;
-          r.t = shard.queue.now();
-          r.a = i;
-          r.b = target;
-          r.c = static_cast<std::int64_t>(shard.digest_scratch.size()) + 1;
-          shard.trace->emit(r);
-        }
-        // Draw the drop verdict before materializing anything: a lost or
-        // partitioned message must cost neither a payload buffer nor a
-        // bucket entry. The digest above still runs unconditionally -
-        // selection rotates hot-queue state, and a real sender pays that
-        // work (and the bandwidth) whether or not the packet survives.
-        const std::optional<double> delay = shard.network->route(i, target);
-        if (!delay) continue;
-        Message m;
-        m.at = shard.queue.now() + *delay;
-        m.from = i;
-        m.to = target;
-        m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
-        m.payload = take_payload(shard);
-        sort_ids(shard, shard.digest_scratch);
-        encode_digest(
-            advertised,
-            shard.digest_scratch,
-            [&node](NodeId j) {
-              return static_cast<std::uint32_t>(node.counter(j));
-            },
-            m.payload);
-        shard.c_payload_bytes +=
-            static_cast<std::int64_t>(m.payload.size());
-        const int dst = owner_[static_cast<std::size_t>(target)];
-        if (dst == shard.index) {
-          file_message(shard, window_round, std::move(m));
-        } else {
-          shard.outbox[static_cast<std::size_t>(dst)].push_back(
-              std::move(m));
-        }
-      }
-    }
+    });
     ShardState* self = &shard;
     shard.queue.schedule_in(config_.heartbeat_interval_ms,
                             [this, self, i] { pump(*self, i); });
@@ -685,7 +492,7 @@ class ClusterEngine {
   /// Phase A of a round: advance the shard's local events (pumps, with
   /// scenario faults spliced in at their exact times) to the barrier.
   void run_window(ShardState& shard, double t_end, std::int64_t round) {
-    shard.check_tick = round - 1;
+    shard.step.set_check_tick(round - 1);
     while (shard.fault_cursor < faults_.size() &&
            faults_[shard.fault_cursor].at_ms <= t_end) {
       shard.queue.run_before(faults_[shard.fault_cursor].at_ms);
@@ -696,128 +503,28 @@ class ClusterEngine {
   }
 
   /// Phase B of a round, entered with every shard parked behind the
-  /// window barrier: collect this shard's inbound messages, apply bucket
-  /// k in deterministic merge order, then evaluate check tick k.
+  /// window barrier: collect this shard's inbound messages, apply those
+  /// due at barrier k in deterministic merge order, then evaluate check
+  /// tick k.
   void deliver_and_evaluate(ShardState& shard, std::int64_t k, double now) {
     for (auto& src : shards_) {
       auto& box = src->outbox[static_cast<std::size_t>(shard.index)];
       for (Message& m : box) file_message(shard, k, std::move(m));
       box.clear();
     }
-    auto& bucket =
-        shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))];
-    if (const auto it = shard.far_buckets.find(k);
-        it != shard.far_buckets.end()) {
-      for (Message& m : it->second) bucket.push_back(std::move(m));
-      shard.far_buckets.erase(it);
-    }
-    std::sort(bucket.begin(), bucket.end(),
-              [](const Message& lhs, const Message& rhs) {
-                if (lhs.to != rhs.to) return lhs.to < rhs.to;
-                if (lhs.at != rhs.at) return lhs.at < rhs.at;
-                if (lhs.from != rhs.from) return lhs.from < rhs.from;
-                return lhs.seq < rhs.seq;
-              });
-    shard.check_tick = k - 1;  // deliveries run in tick k-1's context
-    for (Message& m : bucket) deliver(shard, m);
-    shard.pending_msgs -= static_cast<std::int64_t>(bucket.size());
-    shard.delivered_msgs += static_cast<std::int64_t>(bucket.size());
-    bucket.clear();
+    auto& flight = shard.in_flight;
+    const auto due = std::partition(
+        flight.begin(), flight.end(),
+        [k](const Message& m) { return m.barrier != k; });
+    std::sort(due, flight.end(), message_before);
+    shard.step.set_check_tick(k - 1);  // deliveries run in tick k-1's context
+    for (auto it = due; it != flight.end(); ++it) deliver(shard, *it);
+    shard.delivered_msgs += flight.end() - due;
+    flight.erase(due, flight.end());
 
-    shard.check_tick = k;
-    shard.wheel_scratch.clear();
-    shard.wheel.drain(k, shard.wheel_scratch);
-    for (const std::uint64_t key : shard.wheel_scratch) {
-      evaluate_pair(shard, key, now);
-    }
-  }
-
-  void deliver(ShardState& shard, Message& m) {
-    ClusterNode& node = nodes_[static_cast<std::size_t>(m.to)];
-    if (!node.active()) {
-      m.payload.clear();
-      shard.payload_pool.push_back(std::move(m.payload));
-      return;
-    }
-    const double now = m.at;
-    const bool monotone = node.deadline_monotone();
-    const NodeId to = m.to;
-    std::int64_t advanced = 0;
-    std::int64_t entry_count = 0;
-    {
-      // The varint stream is decoded straight into the observe walk - no
-      // materialized entry list. After the leading sender entry, ids
-      // arrive sorted ascending (the codec's delta stream), so the walk
-      // touches the per-peer arrays in ascending order - the
-      // cache-friendly drain that removed the PR-5 observe hot spot.
-      obs::ScopedPhase phase(shard.profiler.get(), obs::Phase::kObserve);
-      DigestReader reader(m.payload.data(), m.payload.size());
-      const std::uint32_t own = reader.varint();
-      const std::uint32_t count = reader.varint();
-      entry_count = static_cast<std::int64_t>(count) + 1;
-      NodeId peer = m.from;
-      std::int32_t value = static_cast<std::int32_t>(own);
-      NodeId id = 0;
-      for (std::uint32_t e = 0;; ++e) {
-        const ObserveResult result = node.observe(peer, value, now);
-        if (result.newly_known) on_learned(shard, to, peer);
-        if (result.advanced) {
-          ++advanced;
-          // The advance is this pair's heartbeat: its deadline moved. A
-          // suspected pair must be re-judged at the very next tick (the
-          // advance is its refutation); an unsuspected pair gets its
-          // deadline re-registered - unless the detector's deadline is
-          // monotone and the pair is already armed, where re-arming is
-          // provably a no-op (arm_pair keeps the earliest tick and the
-          // new deadline can only be later), so the re-query is skipped.
-          // A freshly started detector always re-arms: its deadline
-          // family changed from the grace window, which monotonicity
-          // says nothing about.
-          if (node.is_suspected(peer)) {
-            arm_pair(shard, to, peer, shard.check_tick + 1);
-          } else if (!monotone || result.started_detector ||
-                     !node.armed(peer)) {
-            arm_deadline(shard, to, peer);
-          }
-        }
-        if (e == count) break;
-        id += static_cast<NodeId>(reader.varint());
-        peer = id;
-        value = static_cast<std::int32_t>(reader.varint());
-      }
-    }
-    m.payload.clear();
-    shard.payload_pool.push_back(std::move(m.payload));
-    if (shard.trace != nullptr) {
-      obs::Record r;
-      r.type = obs::RecordType::kHbRecv;
-      r.t = now;
-      r.a = to;
-      r.b = m.from;
-      r.c = entry_count;
-      r.x = static_cast<double>(advanced);
-      shard.trace->emit(r);
-    }
-  }
-
-  void evaluate_pair(ShardState& shard, std::uint64_t key, double now) {
-    const NodeId i = static_cast<NodeId>(
-        key / static_cast<std::uint64_t>(max_nodes_));
-    const NodeId j = static_cast<NodeId>(
-        key % static_cast<std::uint64_t>(max_nodes_));
-    ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-    if (node.eval_tick(j) != shard.check_tick) return;  // superseded
-    node.set_eval_tick(j, -1);
-    // A crashed observer's cached state is frozen until it resets; a
-    // wiped record re-arms when the peer is re-learned.
-    if (!node.active() || !node.knows(j)) return;
-    const bool down = truly_down(shard, j);
-    const bool was_suspected = node.is_suspected(j);
-    const bool suspected = node.suspects(j, now);
-    if (suspected != was_suspected) {
-      shard.disagreeing += (suspected != down) ? 1 : 0;
-      shard.disagreeing -= (was_suspected != down) ? 1 : 0;
-      node.set_suspected(j, suspected, suspected ? now : -1.0);
+    shard.step.evaluate(k, now, [&](NodeId i, NodeId j, bool suspected) {
+      const bool down = truly_down(shard, j);
+      shard.disagreeing += suspected != down ? 1 : -1;
       if (suspected) {
         ++shard.c_raises;
         if (!down) ++shard.c_false;
@@ -834,31 +541,20 @@ class ClusterEngine {
         r.c = down ? 1 : 0;
         shard.trace->emit(r);
       }
-    }
-    // Unsuspected pairs always hold a future deadline; suspected pairs
-    // sleep until a counter advance refutes them.
-    if (!suspected) arm_deadline(shard, i, j);
+    });
   }
 
-  std::vector<NodeId> active_contacts(const ShardState& shard) const {
-    std::vector<NodeId> contacts;
-    for (NodeId j = 0; j < max_nodes_; ++j) {
-      if (shard.truth_active[static_cast<std::size_t>(j)] != 0) {
-        contacts.push_back(j);
-      }
+  void deliver(ShardState& shard, Message& m) {
+    if (node(m.to).active()) {
+      shard.step.receive(m.to, m.from, m.payload.data(), m.payload.size(),
+                         m.at, [&shard, this](NodeId peer) {
+                           // A fresh record is unsuspected: it disagrees
+                           // with the truth about a peer that is down.
+                           if (truly_down(shard, peer)) ++shard.disagreeing;
+                         });
     }
-    return contacts;
-  }
-
-  /// Rejoins node `x` with a wiped peer table seeded from `contacts`,
-  /// re-arming the grace deadline of every seeded pair. The caller
-  /// activates the row and counts it afterwards. Owner shard only.
-  void reseed_peers(ShardState& shard, NodeId x, double now,
-                    const std::vector<NodeId>& contacts) {
-    nodes_[static_cast<std::size_t>(x)].reset_peers(now, contacts);
-    for (NodeId contact : contacts) {
-      if (contact != x) arm_deadline(shard, x, contact);
-    }
+    m.payload.clear();
+    shard.payload_pool.push_back(std::move(m.payload));
   }
 
   /// Stages the coordinator-side bookkeeping (and the trace record) for
@@ -875,119 +571,37 @@ class ClusterEngine {
     shard.fault_notes.push_back({index, now});
   }
 
-  /// Applies the shard-local effects of one fault: truth replicas, owned
-  /// node state, owned observer rows, and this shard's network instance.
+  /// Applies the shard-local effects of one fault: this shard's network
+  /// instance, or the node step (truth replica, owned node state) plus
+  /// the disagreement count of the owned observer rows.
   void apply_fault(ShardState& shard, std::size_t index) {
     const FaultEvent& event = faults_[index];
     const double now = shard.queue.now();
+    if (apply_network_fault(*shard.network, event)) {
+      note_fault(shard, index, now);
+      return;
+    }
+    if (!shard.step.apply_fault(event, now)) return;
+    note_fault(shard, index, now);
+    const NodeId j = event.node;
     switch (event.kind) {
       case FaultKind::kCrash:
-      case FaultKind::kLeave: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.truth_active[static_cast<std::size_t>(j)] == 0) return;
-        note_fault(shard, index, now);
-        if (owns(shard, j)) {
-          count_row(shard, j, -1);  // the dead row leaves the agreement set
-        }
-        shard.truth_active[static_cast<std::size_t>(j)] = 0;
-        if (owns(shard, j)) {
-          nodes_[static_cast<std::size_t>(j)].set_active(false);
-        }
+      case FaultKind::kLeave:
+        // The dead row leaves the agreement set.
+        if (shard.step.owns(j)) count_row(shard, j, -1);
         rescore_column(shard, j);
         break;
-      }
-      case FaultKind::kRecover: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.ever_active[static_cast<std::size_t>(j)] == 0 ||
-            shard.truth_active[static_cast<std::size_t>(j)] != 0) {
-          return;
-        }
-        note_fault(shard, index, now);
-        shard.truth_active[static_cast<std::size_t>(j)] = 1;
+      case FaultKind::kRecover:
         rescore_column(shard, j);
-        if (owns(shard, j)) {
-          // A restarted process lost its peer memory; it rejoins from
-          // the current membership the way a provisioning system would
-          // seed it.
-          reseed_peers(shard, j, now, active_contacts(shard));
-          nodes_[static_cast<std::size_t>(j)].set_active(true);
-          count_row(shard, j, +1);
-        }
+        if (shard.step.owns(j)) count_row(shard, j, +1);
         break;
-      }
-      case FaultKind::kJoin: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.ever_active[static_cast<std::size_t>(j)] != 0) return;
-        note_fault(shard, index, now);
-        shard.ever_active[static_cast<std::size_t>(j)] = 1;
-        shard.truth_active[static_cast<std::size_t>(j)] = 1;
-        if (owns(shard, j)) {
-          reseed_peers(shard, j, now, active_contacts(shard));
-          nodes_[static_cast<std::size_t>(j)].set_active(true);
-          count_row(shard, j, +1);
-        }
-        // The join itself does not change the true crashed set, so it is
-        // not a disruption to converge from.
+      case FaultKind::kJoin:
+        // The join itself does not change the true crashed set, so only
+        // the new row counts.
+        if (shard.step.owns(j)) count_row(shard, j, +1);
         break;
-      }
-      case FaultKind::kPartition:
-        note_fault(shard, index, now);
-        shard.network->set_partition(event.groups);
+      default:
         break;
-      case FaultKind::kHeal:
-        note_fault(shard, index, now);
-        shard.network->clear_partition();
-        break;
-      case FaultKind::kStormStart:
-        note_fault(shard, index, now);
-        shard.network->set_storm(event.extra_delay_ms, event.delay_prob);
-        break;
-      case FaultKind::kStormEnd:
-        note_fault(shard, index, now);
-        shard.network->clear_storm();
-        break;
-      case FaultKind::kLinkDown:
-        note_fault(shard, index, now);
-        shard.network->add_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kLinkUp:
-        note_fault(shard, index, now);
-        shard.network->remove_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kSlowStart:
-        RFD_REQUIRE(event.node >= 0 && event.node < max_nodes_);
-        note_fault(shard, index, now);
-        shard.network->set_delay_factor(event.node, event.factor);
-        break;
-      case FaultKind::kSlowEnd:
-        RFD_REQUIRE(event.node >= 0 && event.node < max_nodes_);
-        note_fault(shard, index, now);
-        shard.network->set_delay_factor(event.node, 1.0);
-        break;
-      case FaultKind::kLieStart: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        note_fault(shard, index, now);
-        if (owns(shard, j)) {
-          lying_[static_cast<std::size_t>(j)] = 1;
-          lie_delta_[static_cast<std::size_t>(j)] = event.factor;
-          // The lie diverges from the current truth, so a jump and a
-          // regress both start from the counter peers last believed.
-          lie_value_[static_cast<std::size_t>(j)] = static_cast<double>(
-              nodes_[static_cast<std::size_t>(j)].own_counter());
-        }
-        break;
-      }
-      case FaultKind::kLieEnd: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        note_fault(shard, index, now);
-        if (owns(shard, j)) lying_[static_cast<std::size_t>(j)] = 0;
-        break;
-      }
     }
   }
 
@@ -1000,11 +614,7 @@ class ClusterEngine {
     switch (event.kind) {
       case FaultKind::kCrash:
       case FaultKind::kLeave:
-        down_since_[static_cast<std::size_t>(event.node)] = note.at;
-        bump_truth(note.at);
-        break;
       case FaultKind::kRecover:
-        down_since_[static_cast<std::size_t>(event.node)] = -1.0;
         bump_truth(note.at);
         break;
       case FaultKind::kJoin:
@@ -1081,7 +691,7 @@ class ClusterEngine {
     std::int64_t pending = 0;
     for (const auto& shard : shards_) {
       pending += static_cast<std::int64_t>(shard->queue.size());
-      pending += shard->pending_msgs;
+      pending += static_cast<std::int64_t>(shard->in_flight.size());
     }
     pending += static_cast<std::int64_t>(faults_.size() -
                                          shards_.front()->fault_cursor);
@@ -1140,8 +750,8 @@ class ClusterEngine {
     g_queue_size_->set(static_cast<double>(logical_pending()));
     g_queue_executed_->set(static_cast<double>(logical_executed(k)));
     std::size_t max_hot = 0;
-    for (const ClusterNode& node : nodes_) {
-      if (node.active()) max_hot = std::max(max_hot, node.hot_queue_depth());
+    for (const ClusterNode& n : nodes_->nodes) {
+      if (n.active()) max_hot = std::max(max_hot, n.hot_queue_depth());
     }
     g_hot_queue_->set(static_cast<double>(max_hot));
     registry_.snapshot(*trace_, now, k);
@@ -1180,25 +790,19 @@ class ClusterEngine {
       apply_fault_note(note);
     }
     shards_.front()->fault_notes.clear();
-    const ShardState& shard0 = *shards_.front();
+    const GroundTruth& truth = shards_.front()->step.truth();
     for (NodeId j = 0; j < max_nodes_; ++j) {
-      const bool down = truly_down(shard0, j);
-      if (!down || down_since_[static_cast<std::size_t>(j)] < 0.0) {
-        continue;
-      }
-      const double down_at = down_since_[static_cast<std::size_t>(j)];
+      if (!truth.down(j)) continue;
+      const double down_at = truth.down_since[static_cast<std::size_t>(j)];
       for (NodeId i = 0; i < max_nodes_; ++i) {
-        if (i == j ||
-            shard0.truth_active[static_cast<std::size_t>(i)] == 0) {
-          continue;
-        }
-        const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-        if (!node.knows(j)) continue;  // never met the victim; not a miss
-        if (node.is_suspected(j)) {
+        if (i == j || truth.up[static_cast<std::size_t>(i)] == 0) continue;
+        const ClusterNode& row = node(i);
+        if (!row.knows(j)) continue;  // never met the victim; not a miss
+        if (row.is_suspected(j)) {
           // A suspicion already standing at crash time detects
           // "instantly" from the abstraction's point of view.
           h_detect_->add(
-              std::max(0.0, node.record(j).suspect_since - down_at));
+              std::max(0.0, row.record(j).suspect_since - down_at));
         } else {
           c_missed_->add(1);
         }
@@ -1282,23 +886,15 @@ class ClusterEngine {
   int shard_count_ = 1;
   std::vector<FaultEvent> faults_;
   std::vector<int> owner_;
+  /// Nodes, their random streams and lies; each shard's step writes only
+  /// the nodes it owns, so shard determinism is preserved. Declared
+  /// before the shards, whose steps refer to it.
+  std::optional<NodeSet> nodes_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unique_ptr<rt::ShardExecutor> executor_;
-  std::vector<ClusterNode> nodes_;
-  std::vector<Rng> rngs_;
-
-  // Byzantine-ish lying nodes (kLieStart/kLieEnd): the advertised
-  // counter diverges from own_counter() by lie_delta_ per heartbeat
-  // interval while lying_[i] is set. Owner-shard-only writes, like the
-  // node state itself, so shard determinism is preserved; when no lie is
-  // active the pump path is bit-identical to the pre-lie engine.
-  std::vector<char> lying_;
-  std::vector<double> lie_delta_;
-  std::vector<double> lie_value_;
 
   // Coordinator-side scenario bookkeeping (shard replicas carry the
   // window-time truth; these drive the report's QoS aggregation).
-  std::vector<double> down_since_;
   std::int64_t truth_version_ = 0;
   std::int64_t agreed_version_ = 0;
   double truth_change_time_ = 0.0;

@@ -178,13 +178,15 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
   // detector's latest arrival travels in its own slice below, so the
   // slot is written as the unused -1 there. The started bit is carried
   // by the per-peer detector byte instead of the flags byte.
+  // Wheel arming is the driver's derived state, rebuilt after a restore,
+  // so every pair is written unarmed: eval tick -1, armed bit clear.
   const bool fixed = fixed_timeout_ms_ > 0.0;
   for (const PeerHot& h : hot_) {
     w.f64(fixed ? h.last_heartbeat : -1.0);
-    w.u8(h.flags & static_cast<std::uint8_t>(~kStartedFlag));
+    w.u8(h.flags & static_cast<std::uint8_t>(~kUnsavedFlags));
     w.u8(static_cast<std::uint8_t>(h.hot_remaining));
   }
-  for (std::int64_t t : eval_tick_) w.i64(t);
+  for (std::size_t p = 0; p < eval_tick_.size(); ++p) w.i64(-1);
   std::vector<double> slice;
   for (std::size_t p = 0; p < records_.size(); ++p) {
     const PeerRecord& r = records_[p];
@@ -225,10 +227,14 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   for (std::int32_t& c : counters_) c = r.i32();
   for (PeerHot& h : hot_) {
     h.last_heartbeat = r.f64();
-    h.flags = r.u8() & static_cast<std::uint8_t>(~kStartedFlag);
+    h.flags = r.u8() & static_cast<std::uint8_t>(~kUnsavedFlags);
     h.hot_remaining = static_cast<std::int8_t>(r.u8());
   }
-  for (std::int64_t& t : eval_tick_) t = r.i64();
+  // Restored pairs start unarmed whatever the stream says (see save_state).
+  for (std::int64_t& t : eval_tick_) {
+    r.i64();
+    t = -1;
+  }
   std::vector<double> slice;
   for (std::size_t p = 0; p < records_.size(); ++p) {
     PeerRecord& rec = records_[p];

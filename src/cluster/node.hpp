@@ -33,7 +33,7 @@
 //     cluster default - thus needs no extra memory and no extra cache
 //     line on an advance. The scan loops and digest keep()-filters read
 //     only the flags byte of it;
-//   - eval_tick_ (8 bytes/peer): the engine's suspicion wheel slot;
+//   - eval_tick_ (8 bytes/peer): the suspicion wheel slot (node_step.hpp);
 //   - records_ (cold, 16 bytes/peer): known_since and suspect_since -
 //     touched on state transitions, not per entry;
 //   - kChen / kPhi only: one ring slab of window x max_nodes doubles
@@ -256,11 +256,13 @@ class ClusterNode {
     if (hot_[p].flags != before) ++membership_version_;
   }
 
-  /// Check-tick index at which the engine's suspicion wheel will next
-  /// evaluate this pair (-1 = unarmed). Owned by the engine; lives here
-  /// (dense, with the >= 0 state mirrored as the armed flag bit) so the
-  /// wheel needs no side table of its own and the receive loop's skip
-  /// test stays on the flags byte it already holds. See engine.cpp.
+  /// Check-tick index at which the suspicion wheel will next evaluate
+  /// this pair (-1 = unarmed). Owned by the NodeStep driving this node
+  /// (cluster/node_step.hpp) for run_cluster and the soak runner alike;
+  /// lives here (dense, with the >= 0 state mirrored as the armed flag
+  /// bit) so the wheel needs no side table of its own and the receive
+  /// walk's skip test stays on the flags byte it already holds. Derived
+  /// state: checkpoints write every pair unarmed and the driver re-arms.
   std::int64_t eval_tick(NodeId peer) const {
     return eval_tick_[static_cast<std::size_t>(peer)];
   }
@@ -314,16 +316,6 @@ class ClusterNode {
   /// Bumped whenever the (known, suspected) membership view changes;
   /// topologies key their per-node target caches on it.
   std::int64_t membership_version() const { return membership_version_; }
-
-  /// Hints the prefetcher at `peer`'s hot slot; the engine issues this a
-  /// few digest entries ahead of observe() so the (random-index) slot is
-  /// in cache when the entry is processed. Semantically a no-op.
-  void prefetch_peer(NodeId peer) const {
-    if (peer >= 0 && peer < max_nodes_) {
-      __builtin_prefetch(&counters_[static_cast<std::size_t>(peer)], 1, 1);
-      __builtin_prefetch(&hot_[static_cast<std::size_t>(peer)], 1, 1);
-    }
-  }
 
   /// Appends up to `budget` known peer ids (never self) to `out`.
   /// Recently advanced peers go first - forwarding fresh counters is what
@@ -411,7 +403,6 @@ class ClusterNode {
   const PeerRecord& record(NodeId peer) const {
     return records_[static_cast<std::size_t>(peer)];
   }
-  int known_count() const { return known_count_; }
   /// Current hot-queue occupancy (ids with undrained piggyback budget);
   /// snapshotted by the observability layer as a dissemination-backlog
   /// gauge.
@@ -427,6 +418,9 @@ class ClusterNode {
   /// kChen / kPhi: the peer's ring-slab slice and stats slot hold state.
   /// Never written to checkpoints (the per-peer detector byte carries it).
   static constexpr std::uint8_t kStartedFlag = 16;
+  /// Flag bits checkpoints never carry: arming is rebuilt by the driver,
+  /// and the started state travels in the per-peer detector byte.
+  static constexpr std::uint8_t kUnsavedFlags = kStartedFlag | kArmedFlag;
 
   /// Feeds one heartbeat to an adaptive detector, starting it on the
   /// first; returns whether it started.

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <compare>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "cluster/digest_codec.hpp"
 #include "cluster/node.hpp"
+#include "cluster/node_step.hpp"
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -41,53 +42,19 @@ double wall_elapsed_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Bounds-checked varint read for received payloads. Unlike the engine's
-/// DigestReader (which asserts - its payloads are trusted local memory),
-/// a soak receiver sees bytes that crossed a real socket; a malformed
-/// payload is dropped, never fatal.
-bool safe_varint(const std::uint8_t*& p, const std::uint8_t* end,
-                 std::uint32_t& out) {
-  std::uint32_t value = 0;
-  int shift = 0;
-  while (p != end && shift < 35) {
-    const std::uint8_t byte = *p++;
-    value |= static_cast<std::uint32_t>(byte & 0x7fu)
-             << static_cast<unsigned>(shift);
-    if ((byte & 0x80u) == 0) {
-      out = value;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 class SoakRunner {
  public:
   explicit SoakRunner(const SoakConfig& config)
       : config_(config),
         max_nodes_(effective_max_nodes(config)),
         fingerprint_(soak_config_fingerprint(config)),
-        faults_(config.scenario.sorted()) {
-    cluster::NodeParams node_params;
-    node_params.detector = config_.detector;
-    node_params.bootstrap_grace_ms = config_.bootstrap_grace_ms;
-    node_params.hot_transmissions = config_.hot_transmissions;
-    cluster::require_node_memory(config_.n, max_nodes_, node_params);
+        faults_(config.scenario.sorted()),
+        nodes_(config.n, max_nodes_,
+               cluster::NodeParams{config.detector, config.bootstrap_grace_ms,
+                                   config.hot_transmissions},
+               mix_seed(config.seed, 0x50a4d00ull)),
+        step_(nodes_, 0, max_nodes_, config_.topology, config_.tick_ms) {
     build_transport();
-    nodes_.reserve(static_cast<std::size_t>(max_nodes_));
-    Rng base(mix_seed(config_.seed, 0x50a4d00ull));
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      nodes_.emplace_back(i, max_nodes_, node_params);
-      rngs_.push_back(base.split(static_cast<std::uint64_t>(i)));
-    }
-    topology_ = cluster::make_topology(config_.topology, max_nodes_);
-    ever_active_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    truth_active_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    down_since_.assign(static_cast<std::size_t>(max_nodes_), -1.0);
-    lying_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    lie_delta_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    lie_value_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
   }
 
   static int effective_max_nodes(const SoakConfig& config) {
@@ -105,14 +72,13 @@ class SoakRunner {
     const auto wall_start = std::chrono::steady_clock::now();
     RFD_REQUIRE_MSG(config_.n > 0 && config_.n <= max_nodes_,
                     "soak: n must be in [1, max_nodes]");
-    RFD_REQUIRE_MSG(config_.tick_ms > 0.0, "soak: tick_ms must be > 0");
     RFD_REQUIRE_MSG(config_.scenario.validate().empty(),
                     "soak: malformed scenario timeline");
     if (config_.resume) {
       if (!restore(error)) return false;
       resumed_ = true;
     } else {
-      seed_initial_membership();
+      step_.seed(config_.n);
     }
     open_trace();
 
@@ -138,6 +104,7 @@ class SoakRunner {
         stopped_ = true;
         break;
       }
+      step_.set_check_tick(k - 1);
       apply_due_faults(now);
       heartbeats(now);
       deliver(now);
@@ -187,19 +154,6 @@ class SoakRunner {
     transport_ = std::move(base);
   }
 
-  void seed_initial_membership() {
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      nodes_[static_cast<std::size_t>(i)].set_active(i < config_.n);
-    }
-    for (rt::NodeId i = 0; i < config_.n; ++i) {
-      ever_active_[static_cast<std::size_t>(i)] = 1;
-      truth_active_[static_cast<std::size_t>(i)] = 1;
-      for (rt::NodeId j = 0; j < config_.n; ++j) {
-        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
-      }
-    }
-  }
-
   void open_trace() {
     if (!config_.obs.trace_enabled()) return;
     trace_ = std::make_unique<obs::TraceWriter>(config_.obs);
@@ -210,7 +164,8 @@ class SoakRunner {
     if (sim_ != nullptr) sim_->set_trace(trace_.get());
     if (udp_ != nullptr) udp_->set_trace(trace_.get());
     if (flaky_ != nullptr) flaky_->set_trace(trace_.get());
-    topology_->set_trace(trace_.get(), nullptr);
+    step_.topology().set_trace(trace_.get(), nullptr);
+    step_.set_trace(trace_.get());
     obs::JsonLine header;
     header.str("type", "run")
         .str("mode", "soak")
@@ -220,7 +175,7 @@ class SoakRunner {
         .num("tick_ms", config_.tick_ms)
         .num("duration_ms", config_.duration_ms)
         .integer("seed", static_cast<std::int64_t>(config_.seed))
-        .str("topology", topology_->name())
+        .str("topology", step_.topology().name())
         .str("detector", rt::detector_kind_name(config_.detector.kind))
         .boolean("resume", resumed_)
         .integer("start_tick", tick_);
@@ -253,76 +208,17 @@ class SoakRunner {
     }
   }
 
-  std::vector<rt::NodeId> active_contacts() const {
-    std::vector<rt::NodeId> contacts;
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      if (truth_active_[static_cast<std::size_t>(i)] != 0) {
-        contacts.push_back(i);
-      }
-    }
-    return contacts;
-  }
-
   void note_fault(const cluster::FaultEvent& event, double now) {
     if (trace_ != nullptr) trace_->emit(cluster::fault_record(event, now));
   }
 
-  // Mirrors the engine's fault semantics (cluster/engine.cpp) so a .scn
-  // timeline means the same thing under both drivers; network-shaped
-  // faults go to the transport's verdict network when it has one.
+  // The engine's fault semantics (the shared node step), applied at the
+  // first tick at or after the fault time, so a .scn timeline means the
+  // same thing under both drivers; network-shaped faults go to the
+  // transport's verdict network when it has one.
   void apply_fault(const cluster::FaultEvent& event, double now) {
-    using cluster::FaultKind;
-    const std::size_t j = static_cast<std::size_t>(std::max<rt::NodeId>(
-        0, event.node));
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-        if (truth_active_[j] == 0) return;
-        note_fault(event, now);
-        truth_active_[j] = 0;
-        down_since_[j] = now;
-        nodes_[j].set_active(false);
-        return;
-      case FaultKind::kRecover:
-        if (ever_active_[j] == 0 || truth_active_[j] != 0) return;
-        note_fault(event, now);
-        truth_active_[j] = 1;
-        down_since_[j] = -1.0;
-        // A restarted process lost its peer memory; reseed from the
-        // currently live membership like a provisioning system would.
-        nodes_[j].reset_peers(now, active_contacts());
-        nodes_[j].set_active(true);
-        return;
-      case FaultKind::kJoin:
-        if (ever_active_[j] != 0) return;
-        note_fault(event, now);
-        ever_active_[j] = 1;
-        truth_active_[j] = 1;
-        nodes_[j].reset_peers(now, active_contacts());
-        nodes_[j].set_active(true);
-        return;
-      case FaultKind::kLieStart:
-        note_fault(event, now);
-        lying_[j] = 1;
-        lie_delta_[j] = event.factor;
-        lie_value_[j] = static_cast<double>(nodes_[j].own_counter());
-        return;
-      case FaultKind::kLieEnd:
-        note_fault(event, now);
-        lying_[j] = 0;
-        return;
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kStormStart:
-      case FaultKind::kStormEnd:
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-      case FaultKind::kSlowStart:
-      case FaultKind::kSlowEnd:
-        break;
-    }
     rt::Network* net = transport_->fault_network();
-    if (net == nullptr) {
+    if (net == nullptr && cluster::is_network_fault(event.kind)) {
       if (!warned_no_fault_network_ && trace_ != nullptr) {
         trace_->log_line(LogLevel::kWarn,
                          "scenario has network faults but the transport "
@@ -332,77 +228,21 @@ class SoakRunner {
       warned_no_fault_network_ = true;
       return;
     }
-    note_fault(event, now);
-    switch (event.kind) {
-      case FaultKind::kPartition:
-        net->set_partition(event.groups);
-        break;
-      case FaultKind::kHeal:
-        net->clear_partition();
-        break;
-      case FaultKind::kStormStart:
-        net->set_storm(event.extra_delay_ms, event.delay_prob);
-        break;
-      case FaultKind::kStormEnd:
-        net->clear_storm();
-        break;
-      case FaultKind::kLinkDown:
-        net->add_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kLinkUp:
-        net->remove_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kSlowStart:
-        net->set_delay_factor(event.node, event.factor);
-        break;
-      case FaultKind::kSlowEnd:
-        net->set_delay_factor(event.node, 1.0);
-        break;
-      default:
-        break;
+    if (net != nullptr && cluster::apply_network_fault(*net, event)) {
+      note_fault(event, now);
+      return;
     }
+    if (step_.apply_fault(event, now)) note_fault(event, now);
   }
 
   void heartbeats(double now) {
     for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-      if (!node.active()) continue;
-      node.advance_own_counter();
-      std::uint32_t advertised =
-          static_cast<std::uint32_t>(node.own_counter());
-      if (lying_[static_cast<std::size_t>(i)] != 0) {
-        double& v = lie_value_[static_cast<std::size_t>(i)];
-        v = std::clamp(
-            v + lie_delta_[static_cast<std::size_t>(i)], 1.0,
-            static_cast<double>(std::numeric_limits<std::int32_t>::max()));
-        advertised = static_cast<std::uint32_t>(v);
-      }
-      targets_scratch_.clear();
-      topology_->targets(node, rngs_[static_cast<std::size_t>(i)],
-                         targets_scratch_);
-      for (rt::NodeId target : targets_scratch_) {
-        digest_scratch_.clear();
-        topology_->digest(node, target, digest_scratch_);
-        std::sort(digest_scratch_.begin(), digest_scratch_.end());
+      step_.heartbeat(i, now, [&](rt::NodeId target, std::size_t) {
         payload_scratch_.clear();
-        cluster::encode_digest(
-            advertised, digest_scratch_,
-            [&node](rt::NodeId id) {
-              return static_cast<std::uint32_t>(node.counter(id));
-            },
-            payload_scratch_);
+        step_.encode(payload_scratch_);
         transport_->send(i, target, payload_scratch_.data(),
                          payload_scratch_.size(), now);
-        if (trace_ != nullptr) {
-          obs::Record r;
-          r.type = obs::RecordType::kHbSend;
-          r.t = now;
-          r.a = i;
-          r.b = target;
-          r.c = static_cast<std::int64_t>(digest_scratch_.size()) + 1;
-          trace_->emit(r);
-        }
-      }
+      });
     }
   }
 
@@ -410,88 +250,50 @@ class SoakRunner {
     transport_->poll(now, pending_);
     for (const Delivery& d : pending_) {
       if (d.to < 0 || d.to >= max_nodes_) continue;
-      cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(d.to)];
-      if (!node.active()) continue;  // crashed sockets still receive; drop
-      const std::uint8_t* p = d.payload.data();
-      const std::uint8_t* end = p + d.payload.size();
-      std::uint32_t own = 0;
-      std::uint32_t count = 0;
-      if (!safe_varint(p, end, own) || !safe_varint(p, end, count) ||
-          count > static_cast<std::uint32_t>(max_nodes_) * 2u) {
-        continue;  // corrupt payload off the wire: drop, never crash
+      // Crashed sockets still receive; drop. A corrupt payload off the
+      // wire is dropped whole, before any entry is observed - never fatal.
+      if (!nodes_.nodes[static_cast<std::size_t>(d.to)].active() ||
+          !cluster::validate_digest(d.payload.data(), d.payload.size(),
+                                    max_nodes_)) {
+        continue;
       }
-      std::int64_t advances = 0;
-      if (node.observe(d.from, own, d.at_ms).advanced) ++advances;
-      rt::NodeId id = 0;
-      bool ok = true;
-      for (std::uint32_t e = 0; e < count; ++e) {
-        std::uint32_t gap = 0;
-        std::uint32_t counter = 0;
-        if (!safe_varint(p, end, gap) || !safe_varint(p, end, counter)) {
-          ok = false;
-          break;
-        }
-        id += static_cast<rt::NodeId>(gap);
-        if (id < 0 || id >= max_nodes_) {
-          ok = false;
-          break;
-        }
-        if (node.observe(id, counter, d.at_ms).advanced) ++advances;
-      }
-      if (!ok) continue;
-      if (trace_ != nullptr) {
-        obs::Record r;
-        r.type = obs::RecordType::kHbRecv;
-        r.t = d.at_ms;
-        r.a = d.to;
-        r.b = d.from;
-        r.c = static_cast<std::int64_t>(count) + 1;
-        r.x = static_cast<double>(advances);
-        trace_->emit(r);
-      }
+      step_.receive(d.to, d.from, d.payload.data(), d.payload.size(),
+                    d.at_ms, [](rt::NodeId) {});
     }
     pending_.clear();
   }
 
+  /// Evaluates the wheel slot of `tick`. The wheel yields pairs in arming
+  /// order; flips are accounted in (observer, peer) order, so detection
+  /// samples and trace records keep the order a scan of every pair has.
   void check(double now, std::int64_t tick) {
-    (void)tick;
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-      if (!node.active()) continue;
-      for (rt::NodeId j = 0; j < max_nodes_; ++j) {
-        if (j == i || !node.knows(j)) continue;
-        const bool verdict = node.suspects(j, now);
-        if (verdict == node.is_suspected(j)) continue;
-        node.set_suspected(j, verdict, verdict ? now : -1.0);
-        const std::size_t pj = static_cast<std::size_t>(j);
-        if (verdict) {
-          ++raises_;
-          if (truth_active_[pj] != 0) {
-            ++false_suspicions_;
-          } else if (down_since_[pj] >= 0.0) {
-            detection_samples_.push_back(now - down_since_[pj]);
-          }
-          if (trace_ != nullptr) {
-            obs::Record r;
-            r.type = obs::RecordType::kSuspect;
-            r.t = now;
-            r.a = i;
-            r.b = j;
-            r.c = truth_active_[pj] != 0 ? 0 : 1;
-            trace_->emit(r);
-          }
-        } else {
-          ++clears_;
-          if (trace_ != nullptr) {
-            obs::Record r;
-            r.type = obs::RecordType::kClear;
-            r.t = now;
-            r.a = i;
-            r.b = j;
-            trace_->emit(r);
-          }
+    flips_.clear();
+    step_.evaluate(tick, now,
+                   [this](rt::NodeId i, rt::NodeId j, bool suspected) {
+                     flips_.push_back(Flip{i, j, suspected});
+                   });
+    std::sort(flips_.begin(), flips_.end());
+    const cluster::GroundTruth& truth = step_.truth();
+    for (const Flip& f : flips_) {
+      const std::size_t pj = static_cast<std::size_t>(f.peer);
+      obs::Record r;
+      r.t = now;
+      r.a = f.observer;
+      r.b = f.peer;
+      if (f.suspected) {
+        ++raises_;
+        if (truth.up[pj] != 0) {
+          ++false_suspicions_;
+        } else if (truth.down_since[pj] >= 0.0) {
+          detection_samples_.push_back(now - truth.down_since[pj]);
         }
+        r.type = obs::RecordType::kSuspect;
+        r.c = truth.up[pj] != 0 ? 0 : 1;
+      } else {
+        ++clears_;
+        r.type = obs::RecordType::kClear;
       }
+      if (trace_ != nullptr) trace_->emit(r);
     }
   }
 
@@ -523,23 +325,25 @@ class SoakRunner {
     w.i32(config_.n);
     w.i32(max_nodes_);
     std::vector<std::uint8_t> node_bytes;
-    for (const cluster::ClusterNode& node : nodes_) {
+    for (const cluster::ClusterNode& node : nodes_.nodes) {
       node_bytes.clear();
       node.save_state(node_bytes);
       w.u32(static_cast<std::uint32_t>(node_bytes.size()));
       w.bytes(node_bytes.data(), node_bytes.size());
     }
-    for (const Rng& rng : rngs_) {
+    for (const Rng& rng : nodes_.rngs) {
       for (std::uint64_t word : rng.save_state()) w.u64(word);
     }
+    const cluster::GroundTruth& truth = step_.truth();
     for (int i = 0; i < max_nodes_; ++i) {
       const std::size_t p = static_cast<std::size_t>(i);
-      w.u8(static_cast<std::uint8_t>(ever_active_[p]));
-      w.u8(static_cast<std::uint8_t>(truth_active_[p]));
-      w.f64(down_since_[p]);
-      w.u8(static_cast<std::uint8_t>(lying_[p]));
-      w.f64(lie_delta_[p]);
-      w.f64(lie_value_[p]);
+      const cluster::Lie& lie = nodes_.lies[p];
+      w.u8(static_cast<std::uint8_t>(truth.ever[p]));
+      w.u8(static_cast<std::uint8_t>(truth.up[p]));
+      w.f64(truth.down_since[p]);
+      w.u8(lie.on ? 1 : 0);
+      w.f64(lie.delta);
+      w.f64(lie.value);
     }
     w.u32(static_cast<std::uint32_t>(fault_cursor_));
     w.i64(raises_);
@@ -583,7 +387,7 @@ class SoakRunner {
       error = "checkpoint node counts do not match this configuration";
       return false;
     }
-    for (cluster::ClusterNode& node : nodes_) {
+    for (cluster::ClusterNode& node : nodes_.nodes) {
       const std::uint32_t len = r.u32();
       if (!r.ok() || len > r.remaining()) {
         error = "checkpoint truncated in node state";
@@ -602,19 +406,21 @@ class SoakRunner {
         return false;
       }
     }
-    for (Rng& rng : rngs_) {
+    for (Rng& rng : nodes_.rngs) {
       std::array<std::uint64_t, 5> state{};
       for (std::uint64_t& word : state) word = r.u64();
       rng.restore_state(state);
     }
+    cluster::GroundTruth& truth = step_.truth();
     for (int i = 0; i < max_nodes_; ++i) {
       const std::size_t p = static_cast<std::size_t>(i);
-      ever_active_[p] = static_cast<char>(r.u8());
-      truth_active_[p] = static_cast<char>(r.u8());
-      down_since_[p] = r.f64();
-      lying_[p] = static_cast<char>(r.u8());
-      lie_delta_[p] = r.f64();
-      lie_value_[p] = r.f64();
+      cluster::Lie& lie = nodes_.lies[p];
+      truth.ever[p] = static_cast<char>(r.u8());
+      truth.up[p] = static_cast<char>(r.u8());
+      truth.down_since[p] = r.f64();
+      lie.on = r.u8() != 0;
+      lie.delta = r.f64();
+      lie.value = r.f64();
     }
     const std::uint32_t cursor = r.u32();
     raises_ = r.i64();
@@ -651,50 +457,20 @@ class SoakRunner {
       error = "checkpoint transport state is inconsistent";
       return false;
     }
-    // Re-apply the faults the saved run had already consumed that live
-    // outside the checkpoint: network fault state (partitions, storms,
-    // blocks, slow factors) is deliberately not serialized - replaying
-    // the timeline prefix against the fresh verdict network rebuilds it.
-    replay_network_faults(fault_cursor_);
-    tick_ = data.tick;
-    return true;
-  }
-
-  void replay_network_faults(std::size_t upto) {
-    using cluster::FaultKind;
-    rt::Network* net = transport_->fault_network();
-    if (net == nullptr) return;
-    for (std::size_t i = 0; i < upto; ++i) {
-      const cluster::FaultEvent& event = faults_[i];
-      switch (event.kind) {
-        case FaultKind::kPartition:
-          net->set_partition(event.groups);
-          break;
-        case FaultKind::kHeal:
-          net->clear_partition();
-          break;
-        case FaultKind::kStormStart:
-          net->set_storm(event.extra_delay_ms, event.delay_prob);
-          break;
-        case FaultKind::kStormEnd:
-          net->clear_storm();
-          break;
-        case FaultKind::kLinkDown:
-          net->add_link_block(event.groups[0], event.groups[1]);
-          break;
-        case FaultKind::kLinkUp:
-          net->remove_link_block(event.groups[0], event.groups[1]);
-          break;
-        case FaultKind::kSlowStart:
-          net->set_delay_factor(event.node, event.factor);
-          break;
-        case FaultKind::kSlowEnd:
-          net->set_delay_factor(event.node, 1.0);
-          break;
-        default:
-          break;
+    // Rebuild the state the checkpoint deliberately leaves out. Network
+    // fault state (partitions, storms, blocks, slow factors): replaying
+    // the timeline prefix against the fresh verdict network restores it.
+    // The suspicion wheel: every live pair is re-armed from its restored
+    // deadline.
+    if (rt::Network* net = transport_->fault_network()) {
+      for (std::size_t i = 0; i < fault_cursor_; ++i) {
+        cluster::apply_network_fault(*net, faults_[i]);
       }
     }
+    tick_ = data.tick;
+    step_.set_check_tick(tick_);
+    step_.rearm();
+    return true;
   }
 
   void finalize(SoakReport& report, std::int64_t ticks_run,
@@ -712,15 +488,16 @@ class SoakRunner {
     for (double s : detection_samples_) report.detection.add(s);
     report.missed = 0;
     report.final_agreement = true;
+    const cluster::GroundTruth& truth = step_.truth();
     for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      if (truth_active_[static_cast<std::size_t>(i)] == 0) continue;
+      if (truth.up[static_cast<std::size_t>(i)] == 0) continue;
       const cluster::ClusterNode& node =
-          nodes_[static_cast<std::size_t>(i)];
+          nodes_.nodes[static_cast<std::size_t>(i)];
       for (rt::NodeId j = 0; j < max_nodes_; ++j) {
-        if (j == i || ever_active_[static_cast<std::size_t>(j)] == 0) {
+        if (j == i || truth.ever[static_cast<std::size_t>(j)] == 0) {
           continue;
         }
-        const bool down = truth_active_[static_cast<std::size_t>(j)] == 0;
+        const bool down = truth.down(j);
         const bool flagged = node.knows(j) && node.is_suspected(j);
         if (down && !flagged) {
           ++report.missed;
@@ -783,15 +560,8 @@ class SoakRunner {
   UdpTransport* udp_ = nullptr;
   FlakyTransport* flaky_ = nullptr;
 
-  std::vector<cluster::ClusterNode> nodes_;
-  std::vector<Rng> rngs_;
-  std::unique_ptr<cluster::Topology> topology_;
-  std::vector<char> ever_active_;
-  std::vector<char> truth_active_;
-  std::vector<double> down_since_;
-  std::vector<char> lying_;
-  std::vector<double> lie_delta_;
-  std::vector<double> lie_value_;
+  cluster::NodeSet nodes_;
+  cluster::NodeStep step_;
 
   std::int64_t tick_ = 0;  // last completed tick
   std::int64_t raises_ = 0;
@@ -806,8 +576,13 @@ class SoakRunner {
   std::unique_ptr<obs::TraceWriter> trace_;
   obs::Registry registry_;
 
-  std::vector<rt::NodeId> targets_scratch_;
-  std::vector<rt::NodeId> digest_scratch_;
+  struct Flip {
+    rt::NodeId observer;
+    rt::NodeId peer;
+    bool suspected;
+    auto operator<=>(const Flip&) const = default;
+  };
+  std::vector<Flip> flips_;
   std::vector<std::uint8_t> payload_scratch_;
   std::vector<Delivery> pending_;
 };

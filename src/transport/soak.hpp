@@ -10,10 +10,17 @@
 // either for socket-boundary fault injection - and replays the same
 // scenario DSL fault timelines the simulator uses.
 //
+// The per-node protocol is run_cluster's, cluster::NodeStep; the soak
+// adds the tick grid, the Transport, pacing, checkpoints and its QoS
+// counters. A payload off the wire is validated whole before any entry is
+// observed (a malformed one is dropped, never fatal), and a fault applies
+// at the first tick at or after its time.
+//
 // What makes it a *soak* runner:
 //   - periodic versioned, CRC-checked checkpoints of the full mutable
 //     state (nodes, detectors, RNG streams, fault cursor, metrics, and
 //     the transport when it can serialize itself), written atomically;
+//     the suspicion wheel is derived state, re-armed on restore;
 //   - crash-resume: a run started with resume=true picks up from the
 //     last checkpoint and - on the sim backend - produces the exact
 //     counters and detection samples an uninterrupted run would have;

@@ -9,10 +9,14 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/node_step.hpp"
+#include "common/rng.hpp"
 #include "transport/flaky.hpp"
 #include "transport/sim.hpp"
 #include "transport/transport.hpp"
@@ -260,6 +264,197 @@ TEST(UdpTransport, IgnoresOutOfRangeNodeIds) {
   EXPECT_EQ(got[0].from, 1);
   EXPECT_EQ(got[0].to, 0);
   EXPECT_TRUE(got[0].payload.empty());
+}
+
+
+// --- digest payload mutation fuzz --------------------------------------
+//
+// Valid heartbeat payloads are truncated, bit-flipped, extended and given
+// overlong varints by a seeded Rng. Each mutant must be rejected by
+// validate_digest exactly when an independent reference decoder rejects
+// it (a rejected payload never reaches the node); an accepted one must be
+// walked by NodeStep::receive exactly as the reference's entry list,
+// observed one by one, moves a twin node. Under ASan/UBSan this is the
+// hostile-input driver of the wire decoder.
+
+using cluster::NodeId;
+using Entries = std::vector<std::pair<NodeId, std::int64_t>>;
+
+/// Reference decoding of a payload from `from` into (id, counter)
+/// entries, the sender's own first; false where the wire format is
+/// violated (see validate_digest).
+bool reference_decode(const std::vector<std::uint8_t>& payload,
+                      int max_nodes, NodeId from, Entries& out) {
+  constexpr std::uint64_t kMaxCounter =
+      std::numeric_limits<std::int32_t>::max();
+  std::size_t pos = 0;
+  const auto next = [&](std::uint64_t& value) {
+    value = 0;
+    for (int i = 0; i < 5; ++i) {
+      if (pos == payload.size()) return false;
+      const std::uint8_t byte = payload[pos++];
+      value |= std::uint64_t{byte & 0x7fu} << (7 * i);
+      if ((byte & 0x80u) == 0) return value <= 0xffffffffu;
+    }
+    return false;
+  };
+  std::uint64_t own = 0;
+  std::uint64_t count = 0;
+  if (!next(own) || !next(count) || own > kMaxCounter) return false;
+  out.assign(1, {from, static_cast<std::int64_t>(own)});
+  std::uint64_t id = 0;
+  for (std::uint64_t e = 0; e < count; ++e) {
+    std::uint64_t gap = 0;
+    std::uint64_t counter = 0;
+    if (!next(gap) || !next(counter)) return false;
+    id += gap;
+    if (id >= static_cast<std::uint64_t>(max_nodes) || counter > kMaxCounter) {
+      return false;
+    }
+    out.emplace_back(static_cast<NodeId>(id),
+                     static_cast<std::int64_t>(counter));
+  }
+  return pos == payload.size();
+}
+
+struct Sent {
+  NodeId from;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Payloads of a 16-node gossip cluster (ids up to 23) after some rounds
+/// of heartbeats, so digests carry real, advancing counters.
+std::vector<Sent> valid_payloads(const cluster::NodeParams& params,
+                                 int max_nodes) {
+  cluster::TopologyParams topology;
+  topology.digest_size = 12;
+  cluster::NodeSet set(16, max_nodes, params, 0x5eedull);
+  cluster::NodeStep step(set, 0, max_nodes, topology, 100.0);
+  step.seed(16);
+  std::vector<Sent> corpus;
+  for (int round = 1; round <= 20; ++round) {
+    std::vector<std::pair<NodeId, Sent>> wave;
+    for (NodeId i = 0; i < 16; ++i) {
+      step.heartbeat(i, 100.0 * round, [&](NodeId target, std::size_t) {
+        Sent m{i, {}};
+        step.encode(m.payload);
+        wave.emplace_back(target, std::move(m));
+      });
+    }
+    for (const auto& [to, m] : wave) {
+      step.receive(to, m.from, m.payload.data(), m.payload.size(),
+                   100.0 * round, [](NodeId) {});
+      corpus.push_back(m);
+    }
+  }
+  return corpus;
+}
+
+void mutate(Rng& rng, std::vector<std::uint8_t>& p) {
+  switch (rng.range(0, 3)) {
+    case 0:  // truncate
+      p.resize(static_cast<std::size_t>(
+          rng.range(0, static_cast<std::int64_t>(p.size()))));
+      break;
+    case 1:  // flip one to three bits
+      for (std::int64_t k = rng.range(1, 3); k > 0 && !p.empty(); --k) {
+        p[static_cast<std::size_t>(rng.range(
+            0, static_cast<std::int64_t>(p.size()) - 1))] ^=
+            static_cast<std::uint8_t>(1u << rng.range(0, 7));
+      }
+      break;
+    case 2:  // extend with random bytes
+      for (std::int64_t k = rng.range(1, 8); k > 0; --k) {
+        p.push_back(static_cast<std::uint8_t>(rng.range(0, 255)));
+      }
+      break;
+    default: {  // an overlong varint (6 to 9 bytes) spliced in
+      const auto at = static_cast<std::ptrdiff_t>(
+          rng.range(0, static_cast<std::int64_t>(p.size())));
+      std::vector<std::uint8_t> run(
+          static_cast<std::size_t>(rng.range(5, 8)), 0x81);
+      run.push_back(0x01);
+      p.insert(p.begin() + at, run.begin(), run.end());
+      break;
+    }
+  }
+}
+
+void fuzz_digest_walk(rt::DetectorKind kind) {
+  constexpr int kMaxNodes = 24;
+  constexpr NodeId kObserver = 0;
+  cluster::NodeParams params;
+  params.detector.kind = kind;
+  const std::vector<Sent> corpus = valid_payloads(params, kMaxNodes);
+  ASSERT_GT(corpus.size(), 100u);
+
+  cluster::NodeSet set(16, kMaxNodes, params, 0xf022ull);
+  cluster::NodeStep step(set, 0, kMaxNodes, cluster::TopologyParams{}, 100.0);
+  step.seed(16);
+  cluster::ClusterNode& observer = set.nodes[kObserver];
+  Rng rng(0xd16e57ull);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 20'000; ++iter) {
+    const Sent& base = corpus[static_cast<std::size_t>(
+        rng.range(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    std::vector<std::uint8_t> payload = base.payload;
+    if (iter % 8 != 0) mutate(rng, payload);  // some stay valid
+    const double at = 2'000.0 + 10.0 * iter;
+
+    std::vector<std::uint8_t> before;
+    observer.save_state(before);
+    Entries entries;
+    const bool valid =
+        reference_decode(payload, kMaxNodes, base.from, entries);
+    ASSERT_EQ(cluster::validate_digest(payload.data(), payload.size(),
+                                       kMaxNodes),
+              valid)
+        << "iteration " << iter;
+    if (!valid) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    cluster::ClusterNode twin(kObserver, kMaxNodes, params);
+    std::size_t consumed = 0;
+    ASSERT_TRUE(twin.restore_state(before.data(), before.size(), consumed));
+    for (const auto& [id, counter] : entries) twin.observe(id, counter, at);
+    step.receive(kObserver, base.from, payload.data(), payload.size(), at,
+                 [](NodeId) {});
+    std::vector<std::uint8_t> walked;
+    std::vector<std::uint8_t> reference;
+    observer.save_state(walked);
+    twin.save_state(reference);
+    ASSERT_EQ(walked, reference) << "iteration " << iter;
+  }
+  // Both outcomes must be common for the drive to mean anything.
+  EXPECT_GT(accepted, 2'000);
+  EXPECT_GT(rejected, 2'000);
+}
+
+TEST(DigestFuzz, MutatedPayloadsAreRejectedOrWalkedIdentically) {
+  fuzz_digest_walk(rt::DetectorKind::kFixed);
+  fuzz_digest_walk(rt::DetectorKind::kPhi);
+}
+
+TEST(DigestFuzz, ReaderRefusesOverlongAndOversizeVarints) {
+  std::uint32_t v = 0;
+  // Five bytes carry a full 32-bit value.
+  const auto max32 = bytes({0xff, 0xff, 0xff, 0xff, 0x0f});
+  cluster::DigestReader ok(max32.data(), max32.size());
+  ASSERT_TRUE(ok.read(v));
+  EXPECT_EQ(v, 0xffffffffu);
+  // A fifth byte with bits past 32, and a sixth byte, are refused.
+  const auto wide = bytes({0xff, 0xff, 0xff, 0xff, 0x1f});
+  cluster::DigestReader too_wide(wide.data(), wide.size());
+  EXPECT_FALSE(too_wide.read(v));
+  const auto six = bytes({0x80, 0x80, 0x80, 0x80, 0x80, 0x01});
+  cluster::DigestReader too_long(six.data(), six.size());
+  EXPECT_FALSE(too_long.read(v));
+  const auto cut = bytes({0x80});
+  cluster::DigestReader truncated(cut.data(), cut.size());
+  EXPECT_FALSE(truncated.read(v));
 }
 
 }  // namespace
