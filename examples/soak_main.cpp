@@ -38,6 +38,7 @@
 #include "common/cli.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
+#include "obs/trace_writer.hpp"
 #include "transport/soak.hpp"
 
 int main(int argc, char** argv) {
@@ -130,66 +131,63 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // One field list feeds both the human table and the SOAK json line.
+  obs::JsonLine json;
   Table table({"metric", "value"});
-  table.add_row({"backend", report.backend});
-  table.add_row({"nodes", Table::num(report.n)});
-  table.add_row({"sim time (s)", Table::fixed(report.sim_ms / 1000.0, 1)});
-  table.add_row({"wall time (s)", Table::fixed(report.wall_ms / 1000.0, 1)});
-  table.add_row({"datagrams sent", Table::num(report.transport.sent)});
-  table.add_row({"delivered", Table::num(report.transport.delivered)});
-  table.add_row({"dropped", Table::num(report.transport.dropped)});
-  table.add_row({"duplicated", Table::num(report.transport.duplicated)});
-  table.add_row({"send-queue drops", Table::num(report.transport.queue_drops)});
-  table.add_row({"send retries", Table::num(report.transport.retries)});
-  table.add_row({"socket errors", Table::num(report.transport.sock_errors)});
-  table.add_row({"suspicions raised", Table::num(report.raises)});
-  table.add_row({"suspicions cleared", Table::num(report.clears)});
-  table.add_row({"false suspicions", Table::num(report.false_suspicions)});
-  table.add_row({"missed detections", Table::num(report.missed)});
-  table.add_row(
-      {"detection p50 (ms)",
-       report.detection.count() > 0
-           ? Table::fixed(report.detection.percentile(0.5), 0)
-           : "-"});
-  table.add_row(
-      {"detection p99 (ms)",
-       report.detection.count() > 0
-           ? Table::fixed(report.detection.percentile(0.99), 0)
-           : "-"});
-  table.add_row({"final agreement", Table::yes_no(report.final_agreement)});
-  table.add_row({"checkpoints written", Table::num(report.checkpoints_written)});
-  table.add_row({"resumed", Table::yes_no(report.resumed)});
-  table.add_row({"stopped by signal", Table::yes_no(report.stopped_by_signal)});
+  const auto text = [&](const char* key, const std::string& v) {
+    json.str(key, v);
+    table.add_row({key, v});
+  };
+  const auto count = [&](const char* key, std::int64_t v) {
+    json.integer(key, v);
+    table.add_row({key, Table::num(v)});
+  };
+  const auto ms = [&](const char* key, double v) {
+    json.num(key, v);
+    table.add_row({key, Table::fixed(v, 1)});
+  };
+  const auto flag = [&](const char* key, bool v) {
+    json.boolean(key, v);
+    table.add_row({key, Table::yes_no(v)});
+  };
+  const auto pct = [](const Summary& s, double q) {
+    return s.count() > 0 ? s.percentile(q) : 0.0;
+  };
+  const auto& t = report.transport;
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                static_cast<unsigned long long>(report.outcome_fingerprint));
+  text("backend", report.backend);
+  count("n", report.n);
+  ms("sim_ms", report.sim_ms);
+  count("ticks", report.ticks_run);
+  ms("wall_ms", report.wall_ms);
+  count("sent", t.sent);
+  count("delivered", t.delivered);
+  count("dropped", t.dropped);
+  count("duplicated", t.duplicated);
+  count("queue_drops", t.queue_drops);
+  count("retries", t.retries);
+  count("sock_errors", t.sock_errors);
+  count("raises", report.raises);
+  count("clears", report.clears);
+  count("false", report.false_suspicions);
+  count("missed", report.missed);
+  count("detections", report.detection.count());
+  ms("detect_p50_ms", pct(report.detection, 0.5));
+  ms("detect_p99_ms", pct(report.detection, 0.99));
+  flag("agreement", report.final_agreement);
+  count("disruptions", report.disruptions);
+  count("converged", report.convergence.count());
+  ms("converge_p50_ms", pct(report.convergence, 0.5));
+  ms("converge_p99_ms", pct(report.convergence, 0.99));
+  count("overruns", report.tick_overruns);
+  ms("max_lag_ms", report.max_lag_ms);
+  count("checkpoints", report.checkpoints_written);
+  flag("resumed", report.resumed);
+  flag("signal", report.stopped_by_signal);
+  text("fingerprint", fingerprint);
   table.print("soak run");
-
-  std::printf(
-      "SOAK {\"backend\":\"%s\",\"n\":%d,\"sim_ms\":%.1f,"
-      "\"ticks\":%lld,\"wall_ms\":%.1f,\"sent\":%lld,\"delivered\":%lld,"
-      "\"dropped\":%lld,\"duplicated\":%lld,\"queue_drops\":%lld,"
-      "\"retries\":%lld,\"sock_errors\":%lld,\"raises\":%lld,"
-      "\"clears\":%lld,\"false\":%lld,\"missed\":%lld,"
-      "\"detections\":%lld,\"detect_p50_ms\":%.1f,\"detect_p99_ms\":%.1f,"
-      "\"agreement\":%s,\"checkpoints\":%d,\"resumed\":%s,\"signal\":%s,"
-      "\"fingerprint\":\"%016llx\"}\n",
-      report.backend.c_str(), report.n, report.sim_ms,
-      static_cast<long long>(report.ticks_run), report.wall_ms,
-      static_cast<long long>(report.transport.sent),
-      static_cast<long long>(report.transport.delivered),
-      static_cast<long long>(report.transport.dropped),
-      static_cast<long long>(report.transport.duplicated),
-      static_cast<long long>(report.transport.queue_drops),
-      static_cast<long long>(report.transport.retries),
-      static_cast<long long>(report.transport.sock_errors),
-      static_cast<long long>(report.raises),
-      static_cast<long long>(report.clears),
-      static_cast<long long>(report.false_suspicions),
-      static_cast<long long>(report.missed),
-      static_cast<long long>(report.detection.count()),
-      report.detection.count() > 0 ? report.detection.percentile(0.5) : 0.0,
-      report.detection.count() > 0 ? report.detection.percentile(0.99) : 0.0,
-      report.final_agreement ? "true" : "false", report.checkpoints_written,
-      report.resumed ? "true" : "false",
-      report.stopped_by_signal ? "true" : "false",
-      static_cast<unsigned long long>(report.outcome_fingerprint));
+  std::printf("SOAK %s\n", json.finish().c_str());
   return 0;
 }

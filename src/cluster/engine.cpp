@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/node_step.hpp"
+#include "cluster/qos_ledger.hpp"
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -29,21 +30,24 @@ namespace {
 // Network instance, and a NodeStep (cluster/node_step.hpp) for its block:
 // the per-node protocol - heartbeat send, the receive walk, the suspicion
 // wheel and the node effects of faults, with the shard's replica of the
-// scenario ground truth - that the soak runner drives too. The engine
-// itself keeps only the scheduling below and the QoS accounting (the
-// disagreeing-pair count, detection and convergence). Every worker runs
-// the whole loop itself (the engine dispatches each shard exactly once
-// per run) and time advances one check window per round, with three
-// meets at the executor's spin barrier per check tick k:
+// scenario ground truth - that the soak runner drives too. QoS is decided
+// by the QosLedger (cluster/qos_ledger.hpp), as in the soak runner and the
+// trace replay: each shard keeps a QosTally of the observer rows it owns,
+// and the coordinator feeds their sum to the ledger and copies its results
+// into the metrics registry and the report. The engine itself keeps only
+// the scheduling below. Every worker runs the whole loop itself (the
+// engine dispatches each shard exactly once per run) and time advances
+// one check window per round, with three meets at the executor's spin
+// barrier per check tick k:
 //   1. run_window(k): each shard advances its local events (pumps, with
 //      scenario faults spliced in at their exact times) to T_k.
 //   2. Barrier, then deliver_and_evaluate(k): each shard collects the
 //      messages addressed to it, applies those due at T_k, and evaluates
 //      the suspicion wheel's slot for tick k.
 //   3. Barrier, then shard 0 alone runs the coordinator step: a flat sum
-//      over the shards of the disagreeing-pair and pending-event counts,
-//      the scenario bookkeeping, agreement and convergence, the inline
-//      trace merge, a snapshot when one is due, and the stop check.
+//      over the shards of the QoS tallies and pending-event counts, the
+//      ledger's tick (agreement and convergence), the inline trace merge,
+//      a snapshot when one is due, and the stop check.
 //   4. A release barrier publishes the stop decision to the peers.
 //
 // Messages are never delivered inside the window they were sent in:
@@ -121,14 +125,6 @@ struct BufferSink final : obs::RecordSink {
   std::vector<obs::Record> records;
 };
 
-/// Coordinator-side record of one fault a shard found effective; shard 0
-/// stages these so the coordinator can do the cluster-global bookkeeping
-/// (disruption counting, convergence timing) at the next barrier.
-struct FaultNote {
-  std::size_t index = 0;  // into the sorted fault list
-  double at = 0.0;
-};
-
 struct ShardState {
   ShardState(NodeSet& set, int shard_index, NodeId lo, NodeId hi,
              const ClusterConfig& config)
@@ -148,7 +144,8 @@ struct ShardState {
   std::unique_ptr<obs::Profiler> profiler;
   std::vector<BufferedLogLine> log_buf;
 
-  std::int64_t disagreeing = 0;
+  /// QoS of the owned observer rows.
+  QosTally qos;
   std::size_t fault_cursor = 0;
 
   // Message plumbing: per-destination-shard outboxes filled during the
@@ -163,12 +160,6 @@ struct ShardState {
   // coordinator (integer sums are order-insensitive).
   std::int64_t c_digest_entries = 0;
   std::int64_t c_payload_bytes = 0;
-  std::int64_t c_raises = 0;
-  std::int64_t c_clears = 0;
-  std::int64_t c_false = 0;
-
-  // Shard 0 only: effective faults awaiting coordinator bookkeeping.
-  std::vector<FaultNote> fault_notes;
 };
 
 /// Total order for the per-round trace merge: records sort by time, then
@@ -232,13 +223,7 @@ class ClusterEngine {
     // snapshot records in the trace.
     c_digest_entries_ = &registry_.counter(metric::kDigestEntries);
     c_payload_bytes_ = &registry_.counter(metric::kPayloadBytes);
-    c_raises_ = &registry_.counter(metric::kSuspicionRaises);
-    c_clears_ = &registry_.counter(metric::kSuspicionClears);
-    c_false_ = &registry_.counter(metric::kFalseSuspicions);
-    c_disruptions_ = &registry_.counter(metric::kDisruptions);
-    c_missed_ = &registry_.counter(metric::kMissedDetections);
-    h_detect_ = &registry_.histogram(metric::kDetectionMs);
-    h_convergence_ = &registry_.histogram(metric::kConvergenceMs);
+    qos_.publish(registry_);
     g_disagreeing_ = &registry_.gauge(metric::kDisagreeingPairs);
     g_net_sent_ = &registry_.gauge(metric::kNetSent);
     g_net_dropped_ = &registry_.gauge(metric::kNetDropped);
@@ -397,14 +382,6 @@ class ClusterEngine {
     if (s == 0) merge_inline();
   }
 
-  bool truly_down(const ShardState& shard, NodeId j) const {
-    return shard.step.truth().down(j);
-  }
-
-  const ClusterNode& node(NodeId i) const {
-    return nodes_->nodes[static_cast<std::size_t>(i)];
-  }
-
   /// First barrier at which a message arriving at `at` may be applied:
   /// the smallest b with T_b strictly after `at`. Strict, because at an
   /// exact grid time the old engine ran the check (lowest sequence
@@ -413,32 +390,6 @@ class ClusterEngine {
     std::int64_t b = static_cast<std::int64_t>(at / check_ms_) + 1;
     while (static_cast<double>(b) * check_ms_ <= at) ++b;
     return b;
-  }
-
-  /// Adds (sign=+1) or removes (sign=-1) observer row `i`'s known pairs
-  /// from the disagreement count, when the row enters or leaves the set
-  /// of live observers. Called only on the shard owning `i`.
-  void count_row(ShardState& shard, NodeId i, int sign) {
-    const ClusterNode& row = node(i);
-    for (NodeId j = 0; j < max_nodes_; ++j) {
-      if (j == i || !row.knows(j)) continue;
-      if (row.is_suspected(j) != truly_down(shard, j)) {
-        shard.disagreeing += sign;
-      }
-    }
-  }
-
-  /// Re-scores column `j` after truly_down(j) flipped; call with the
-  /// truth replicas already updated. Every shard rescoring its own
-  /// observer rows covers the column exactly once.
-  void rescore_column(ShardState& shard, NodeId j) {
-    const bool down = truly_down(shard, j);
-    for (NodeId i = shard.step.lo(); i < shard.step.hi(); ++i) {
-      const ClusterNode& row = node(i);
-      if (i == j || !row.active() || !row.knows(j)) continue;
-      shard.disagreeing += (row.is_suspected(j) != down) ? 1 : 0;
-      shard.disagreeing -= (row.is_suspected(j) != !down) ? 1 : 0;
-    }
   }
 
   std::vector<std::uint8_t> take_payload(ShardState& shard) {
@@ -523,145 +474,52 @@ class ClusterEngine {
     flight.erase(due, flight.end());
 
     shard.step.evaluate(k, now, [&](NodeId i, NodeId j, bool suspected) {
-      const bool down = truly_down(shard, j);
-      shard.disagreeing += suspected != down ? 1 : -1;
-      if (suspected) {
-        ++shard.c_raises;
-        if (!down) ++shard.c_false;
-      } else {
-        ++shard.c_clears;
-      }
-      if (shard.trace != nullptr) {
-        obs::Record r;
-        r.type =
-            suspected ? obs::RecordType::kSuspect : obs::RecordType::kClear;
-        r.t = now;
-        r.a = i;
-        r.b = j;
-        r.c = down ? 1 : 0;
-        shard.trace->emit(r);
-      }
+      shard.qos.flip(i, j, suspected, shard.step.truth().down(j), now,
+                     shard.trace);
     });
   }
 
   void deliver(ShardState& shard, Message& m) {
-    if (node(m.to).active()) {
+    if (nodes_->nodes[static_cast<std::size_t>(m.to)].active()) {
       shard.step.receive(m.to, m.from, m.payload.data(), m.payload.size(),
-                         m.at, [&shard, this](NodeId peer) {
-                           // A fresh record is unsuspected: it disagrees
-                           // with the truth about a peer that is down.
-                           if (truly_down(shard, peer)) ++shard.disagreeing;
+                         m.at, [&shard](NodeId peer) {
+                           shard.qos.learned(shard.step.truth().down(peer));
                          });
     }
     m.payload.clear();
     shard.payload_pool.push_back(std::move(m.payload));
   }
 
-  /// Stages the coordinator-side bookkeeping (and the trace record) for
-  /// an effective fault. Only shard 0 stages, so each fault is recorded
-  /// exactly once; effectiveness is decided identically by every shard
-  /// from its truth replica. The trace's fault stream remains exactly
-  /// the ground-truth transition sequence - the invariant the offline
-  /// replay relies on.
-  void note_fault(ShardState& shard, std::size_t index, double now) {
-    if (shard.index != 0) return;
-    if (shard.trace != nullptr) {
-      shard.trace->emit(fault_record(faults_[index], now));
-    }
-    shard.fault_notes.push_back({index, now});
-  }
-
   /// Applies the shard-local effects of one fault: this shard's network
-  /// instance, or the node step (truth replica, owned node state) plus
-  /// the disagreement count of the owned observer rows.
+  /// instance, or the node step (truth replica, owned node state) plus the
+  /// QoS tally of the owned observer rows. Shard 0 alone records an
+  /// effective fault - its trace record and the QoS ledger's disruption
+  /// bookkeeping - so each counts once; every shard decides effectiveness
+  /// identically from its truth replica. Shard 0's thread is the only one
+  /// that touches the ledger (window, coordinator step and finalize), and
+  /// a window's faults reach it in time order, before the tick that checks
+  /// agreement. The trace's fault stream remains exactly the ground-truth
+  /// transition sequence - the invariant the offline replay relies on.
   void apply_fault(ShardState& shard, std::size_t index) {
     const FaultEvent& event = faults_[index];
     const double now = shard.queue.now();
-    if (apply_network_fault(*shard.network, event)) {
-      note_fault(shard, index, now);
-      return;
+    if (!apply_network_fault(*shard.network, event)) {
+      if (!shard.step.apply_fault(event, now)) return;
+      shard.qos.rescore(event.kind, event.node, shard.step);
     }
-    if (!shard.step.apply_fault(event, now)) return;
-    note_fault(shard, index, now);
-    const NodeId j = event.node;
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-        // The dead row leaves the agreement set.
-        if (shard.step.owns(j)) count_row(shard, j, -1);
-        rescore_column(shard, j);
-        break;
-      case FaultKind::kRecover:
-        rescore_column(shard, j);
-        if (shard.step.owns(j)) count_row(shard, j, +1);
-        break;
-      case FaultKind::kJoin:
-        // The join itself does not change the true crashed set, so only
-        // the new row counts.
-        if (shard.step.owns(j)) count_row(shard, j, +1);
-        break;
-      default:
-        break;
-    }
-  }
-
-  /// Coordinator bookkeeping for one fault shard 0 found effective:
-  /// ground-truth versioning, disruption counting, detection baselines.
-  /// Applied in staged (chronological) order, before the agreement check
-  /// of the tick whose window produced it - the old in-window ordering.
-  void apply_fault_note(const FaultNote& note) {
-    const FaultEvent& event = faults_[note.index];
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-      case FaultKind::kRecover:
-        bump_truth(note.at);
-        break;
-      case FaultKind::kJoin:
-      case FaultKind::kPartition:
-      case FaultKind::kStormStart:
-      case FaultKind::kLinkDown:
-      case FaultKind::kSlowStart:
-      case FaultKind::kLieStart:
-        break;
-      case FaultKind::kHeal:
-      case FaultKind::kStormEnd:
-      case FaultKind::kLinkUp:
-      case FaultKind::kSlowEnd:
-      case FaultKind::kLieEnd:
-        // Re-convergence is only measurable if the episode actually
-        // drove the cluster into disagreement.
-        if (!last_agreement_) bump_truth(note.at);
-        break;
-    }
-  }
-
-  void bump_truth(double now) {
-    // A batch of same-instant faults (e.g. a rack failing) is one
-    // disruption to converge from, not many.
-    if (truth_version_ > 0 && truth_change_time_ == now) return;
-    ++truth_version_;
-    truth_change_time_ = now;
-    c_disruptions_->add(1);
+    if (shard.index != 0) return;
+    if (shard.trace != nullptr) shard.trace->emit(fault_record(event, now));
+    qos_.fault(event.kind, now);
   }
 
   /// The serial coordinator step for check tick k (shard 0 only, peers
-  /// parked at the release barrier): flat sums over the shards of the
-  /// disagreeing-pair and pending-event counts, scenario bookkeeping,
-  /// cluster agreement, convergence, the pending peak, the inline trace
-  /// merge, a snapshot when one is due, and the graceful-stop check.
+  /// parked at the release barrier): the QoS ledger's tick over the sum of
+  /// the shards' tallies, the pending peak, the inline trace merge, a
+  /// snapshot when one is due, and the graceful-stop check.
   void coordinator_step(std::int64_t k, double now) {
-    ShardState& shard0 = *shards_.front();
-    std::int64_t disagreeing = 0;
-    for (const auto& shard : shards_) disagreeing += shard->disagreeing;
-    for (const FaultNote& note : shard0.fault_notes) apply_fault_note(note);
-    shard0.fault_notes.clear();
-    const bool all_agree = disagreeing == 0;
-    if (all_agree && agreed_version_ < truth_version_) {
-      h_convergence_->add(now - truth_change_time_);
-      agreed_version_ = truth_version_;
-    }
-    last_agreement_ = all_agree;
+    QosTally total;
+    for (const auto& shard : shards_) total += shard->qos;
+    qos_.tick(now, total);
     peak_logical_queue_ = std::max(peak_logical_queue_, logical_pending());
     rounds_done_ = k;
     merge_inline();
@@ -669,7 +527,7 @@ class ClusterEngine {
     // their own events, so enabling them cannot perturb the simulation.
     if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
         k % config_.obs.snapshot_every_ticks == 0) {
-      snapshot(k, now, disagreeing);
+      snapshot(k, now);
     }
     if (config_.stop != nullptr && k < rounds_total_ &&
         config_.stop->load(std::memory_order_relaxed)) {
@@ -711,31 +569,23 @@ class ClusterEngine {
     return executed;
   }
 
-  /// Folds the per-shard counter accumulators into the registry (integer
-  /// sums in fixed shard order).
+  /// Folds the per-shard counter accumulators (integer sums in fixed
+  /// shard order) and the QoS ledger's results into the registry.
   void sync_counters() {
     std::int64_t digest = 0;
     std::int64_t payload = 0;
-    std::int64_t raises = 0;
-    std::int64_t clears = 0;
-    std::int64_t false_s = 0;
     for (const auto& shard : shards_) {
       digest += shard->c_digest_entries;
       payload += shard->c_payload_bytes;
-      raises += shard->c_raises;
-      clears += shard->c_clears;
-      false_s += shard->c_false;
     }
     c_digest_entries_->add(digest - c_digest_entries_->value());
     c_payload_bytes_->add(payload - c_payload_bytes_->value());
-    c_raises_->add(raises - c_raises_->value());
-    c_clears_->add(clears - c_clears_->value());
-    c_false_->add(false_s - c_false_->value());
+    qos_.publish(registry_);
   }
 
-  void snapshot(std::int64_t k, double now, std::int64_t disagreeing) {
+  void snapshot(std::int64_t k, double now) {
     sync_counters();
-    g_disagreeing_->set(static_cast<double>(disagreeing));
+    g_disagreeing_->set(static_cast<double>(qos_.total().disagreeing));
     std::int64_t sent = 0;
     std::int64_t dropped = 0;
     std::int64_t partition_dropped = 0;
@@ -784,32 +634,11 @@ class ClusterEngine {
   }
 
   void finalize() {
-    // Faults from a grid-misaligned tail window: no tick follows them,
-    // so they replay here, in staged order.
-    for (const FaultNote& note : shards_.front()->fault_notes) {
-      apply_fault_note(note);
-    }
-    shards_.front()->fault_notes.clear();
-    const GroundTruth& truth = shards_.front()->step.truth();
-    for (NodeId j = 0; j < max_nodes_; ++j) {
-      if (!truth.down(j)) continue;
-      const double down_at = truth.down_since[static_cast<std::size_t>(j)];
-      for (NodeId i = 0; i < max_nodes_; ++i) {
-        if (i == j || truth.up[static_cast<std::size_t>(i)] == 0) continue;
-        const ClusterNode& row = node(i);
-        if (!row.knows(j)) continue;  // never met the victim; not a miss
-        if (row.is_suspected(j)) {
-          // A suspicion already standing at crash time detects
-          // "instantly" from the abstraction's point of view.
-          h_detect_->add(
-              std::max(0.0, row.record(j).suspect_since - down_at));
-        } else {
-          c_missed_->add(1);
-        }
-      }
-    }
+    qos_.finalize(shards_.front()->step.truth(), *nodes_);
     sync_counters();
-    fill_report_from_registry(report_, registry_);
+    qos_.report(report_);
+    report_.digest_entries_sent = c_digest_entries_->value();
+    report_.digest_payload_bytes = c_payload_bytes_->value();
     report_.events_executed = logical_executed(rounds_done_);
     report_.peak_event_queue = peak_logical_queue_;
     std::int64_t sent = 0;
@@ -823,9 +652,6 @@ class ClusterEngine {
     report_.messages_sent = sent;
     report_.messages_dropped = dropped;
     report_.partition_dropped = partition_dropped;
-    report_.unconverged_disruptions =
-        report_.disruptions - report_.convergence_ms.count();
-    report_.final_agreement = last_agreement_;
     finalize_rates(report_);
     report_.profile = merged_profile();
     if (trace_ != nullptr) {
@@ -893,12 +719,8 @@ class ClusterEngine {
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unique_ptr<rt::ShardExecutor> executor_;
 
-  // Coordinator-side scenario bookkeeping (shard replicas carry the
-  // window-time truth; these drive the report's QoS aggregation).
-  std::int64_t truth_version_ = 0;
-  std::int64_t agreed_version_ = 0;
-  double truth_change_time_ = 0.0;
-  bool last_agreement_ = true;
+  // Coordinator-side QoS (shard replicas carry the window-time truth).
+  QosLedger qos_;
   std::int64_t rounds_done_ = 0;
   std::int64_t peak_logical_queue_ = 0;
 
@@ -917,13 +739,6 @@ class ClusterEngine {
   std::vector<obs::Record> merge_scratch_;
   obs::Counter* c_digest_entries_ = nullptr;
   obs::Counter* c_payload_bytes_ = nullptr;
-  obs::Counter* c_raises_ = nullptr;
-  obs::Counter* c_clears_ = nullptr;
-  obs::Counter* c_false_ = nullptr;
-  obs::Counter* c_disruptions_ = nullptr;
-  obs::Counter* c_missed_ = nullptr;
-  obs::Histo* h_detect_ = nullptr;
-  obs::Histo* h_convergence_ = nullptr;
   obs::Gauge* g_disagreeing_ = nullptr;
   obs::Gauge* g_net_sent_ = nullptr;
   obs::Gauge* g_net_dropped_ = nullptr;

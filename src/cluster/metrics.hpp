@@ -13,13 +13,11 @@
 
 #include "common/stats.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 
 namespace rfd::cluster {
 
-/// Metric names the engine registers in its obs::Registry - the
-/// registry is the backing store for the aggregation below, and these
-/// names are what snapshot records carry in the trace stream.
+/// Metric names the engine registers in its obs::Registry - the names
+/// snapshot records carry in the trace stream.
 namespace metric {
 inline constexpr const char* kDigestEntries = "cluster.digest_entries_sent";
 inline constexpr const char* kPayloadBytes = "cluster.digest_payload_bytes";
@@ -103,11 +101,5 @@ struct ClusterReport {
 
 /// Fills the per-node rate fields from the raw counters.
 void finalize_rates(ClusterReport& report);
-
-/// Copies the engine's registry-backed aggregation into the report.
-/// The registry is the store of record during the run; the report is the
-/// flat snapshot benches and demos serialize.
-void fill_report_from_registry(ClusterReport& report,
-                               const obs::Registry& registry);
 
 }  // namespace rfd::cluster

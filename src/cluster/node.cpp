@@ -1,8 +1,10 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/assert.hpp"
@@ -247,7 +249,12 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
     const std::uint32_t count = r.u32();
     if (!r.ok() || count > (1u << 20)) return false;
     slice.resize(count);
-    for (double& x : slice) x = r.f64();
+    for (double& x : slice) {
+      x = r.f64();
+      // Times (ms) and their moments; a bound keeps every deadline's tick
+      // conversion in range, and refuses NaN.
+      if (!(std::fabs(x) <= 1e15)) return false;
+    }
     if (!r.ok()) return false;
     if (ring_slab_ == nullptr) allocate_adaptive();
     PeerHot& h = hot_[p];
@@ -279,9 +286,23 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   hot_head_ = 0;
   if (!r.ok()) return false;
   if (digest_cursor_ < 0 || digest_cursor_ >= max_nodes_ ||
-      known_count_ < 0 || known_count_ > max_nodes_) {
+      known_count_ < 0 || known_count_ > max_nodes_ || own_counter_ < 0 ||
+      own_counter_ >= std::numeric_limits<std::int32_t>::max()) {
     return false;
   }
+  // Times feed deadline arithmetic and the wheel's tick conversion: a
+  // saved time is -1 (none) or a sim time in ms below ~31 years.
+  const auto is_time = [](double t) { return t >= -1.0 && t <= 1e12; };
+  int known = 0;
+  for (std::size_t p = 0; p < hot_.size(); ++p) {
+    known += (hot_[p].flags & kKnownFlag) != 0 ? 1 : 0;
+    if (!is_time(hot_[p].last_heartbeat) || counters_[p] < 0 ||
+        !is_time(records_[p].known_since) ||
+        !is_time(records_[p].suspect_since)) {
+      return false;
+    }
+  }
+  if (known != known_count_) return false;
   consumed = size - r.remaining();
   return true;
 }

@@ -92,18 +92,12 @@ NodeStep::NodeStep(NodeSet& set, NodeId lo, NodeId hi,
   RFD_REQUIRE_MSG(set.max_nodes() <= kMaxNodes,
                   "max_nodes exceeds the suspicion wheel's 32-bit pair keys");
   RFD_REQUIRE_MSG(check_ms > 0.0, "check interval must be > 0");
-  const auto n = static_cast<std::size_t>(set.max_nodes());
-  truth_.ever.assign(n, 0);
-  truth_.up.assign(n, 0);
-  truth_.down_since.assign(n, -1.0);
-  id_bits_.assign((n + 63) / 64, 0);
+  truth_.reset(set.max_nodes(), 0);
+  id_bits_.assign((static_cast<std::size_t>(set.max_nodes()) + 63) / 64, 0);
 }
 
 void NodeStep::seed(int n) {
-  for (NodeId i = 0; i < n; ++i) {
-    truth_.ever[static_cast<std::size_t>(i)] = 1;
-    truth_.up[static_cast<std::size_t>(i)] = 1;
-  }
+  truth_.reset(set_.max_nodes(), n);
   // The initial membership list is configuration, not discovery.
   for (NodeId i = lo_; i < hi_; ++i) {
     node(i).set_active(i < n);
@@ -125,40 +119,62 @@ void NodeStep::encode(std::vector<std::uint8_t>& out) {
       out);
 }
 
+void GroundTruth::reset(int max_nodes, int n) {
+  const auto size = static_cast<std::size_t>(max_nodes);
+  ever.assign(size, 0);
+  up.assign(size, 0);
+  down_since.assign(size, -1.0);
+  std::fill_n(ever.begin(), n, 1);
+  std::fill_n(up.begin(), n, 1);
+}
+
+bool GroundTruth::apply(FaultKind kind, NodeId j, double now) {
+  const auto p = static_cast<std::size_t>(j);
+  switch (kind) {
+    case FaultKind::kCrash:
+    case FaultKind::kLeave:
+      if (up[p] == 0) return false;
+      up[p] = 0;
+      down_since[p] = now;
+      return true;
+    case FaultKind::kRecover:
+      if (ever[p] == 0 || up[p] != 0) return false;
+      up[p] = 1;
+      down_since[p] = -1.0;
+      return true;
+    case FaultKind::kJoin:
+      if (ever[p] != 0) return false;
+      ever[p] = 1;
+      up[p] = 1;
+      return true;
+    default:
+      return true;
+  }
+}
+
 bool NodeStep::apply_fault(const FaultEvent& event, double now) {
   const NodeId j = event.node;
   RFD_REQUIRE(j >= 0 && j < set_.max_nodes());
+  if (!truth_.apply(event.kind, j, now)) return false;
+  if (!owns(j)) return true;
   const auto p = static_cast<std::size_t>(j);
   switch (event.kind) {
     case FaultKind::kCrash:
     case FaultKind::kLeave:
-      if (truth_.up[p] == 0) return false;
-      truth_.up[p] = 0;
-      truth_.down_since[p] = now;
-      if (owns(j)) node(j).set_active(false);
+      node(j).set_active(false);
       return true;
     case FaultKind::kRecover:
-      if (truth_.ever[p] == 0 || truth_.up[p] != 0) return false;
-      truth_.up[p] = 1;
-      truth_.down_since[p] = -1.0;
-      if (owns(j)) restart(j, now);
-      return true;
     case FaultKind::kJoin:
-      if (truth_.ever[p] != 0) return false;
-      truth_.ever[p] = 1;
-      truth_.up[p] = 1;
-      if (owns(j)) restart(j, now);
+      restart(j, now);
       return true;
     case FaultKind::kLieStart:
       // The lie diverges from the current truth, so a jump and a regress
       // both start from the counter peers last believed.
-      if (owns(j)) {
-        set_.lies[p] = Lie{true, event.factor,
-                           static_cast<double>(node(j).own_counter())};
-      }
+      set_.lies[p] = Lie{true, event.factor,
+                         static_cast<double>(node(j).own_counter())};
       return true;
     case FaultKind::kLieEnd:
-      if (owns(j)) set_.lies[p].on = false;
+      set_.lies[p].on = false;
       return true;
     default:
       RFD_UNREACHABLE("network fault passed to NodeStep::apply_fault");

@@ -2,8 +2,9 @@
 // drivers: run_cluster (cluster/engine.cpp) runs the nodes in shards that
 // exchange messages in memory at check barriers; the soak runner
 // (transport/soak.cpp) pushes them through a Transport on a tick grid. A
-// driver owns time, transport and QoS accounting; a NodeStep owns what
-// the nodes [lo, hi) do: heartbeat() (counter, lie, targets, digest, and
+// driver owns time and transport, and feeds what the nodes do to the QoS
+// ledger (cluster/qos_ledger.hpp); a NodeStep owns what the nodes
+// [lo, hi) do: heartbeat() (counter, lie, targets, digest, and
 // encode() for a message that survives), receive() (one payload walked
 // into observe() and the wheel's arming; wire payloads pass
 // validate_digest() first), evaluate() (the pairs the suspicion wheel has
@@ -69,6 +70,15 @@ struct GroundTruth {
     return ever[static_cast<std::size_t>(j)] != 0 &&
            up[static_cast<std::size_t>(j)] == 0;
   }
+
+  /// Ids below `n` up since the start, the rest of `max_nodes` never run.
+  void reset(int max_nodes, int n);
+
+  /// The transition of a crash, leave, recover or join of `j` at `now`.
+  /// Returns false for one with no effect (a crash of a down node, a
+  /// recover of a live or never-started one, a second join); every other
+  /// kind leaves the truth alone and returns true.
+  bool apply(FaultKind kind, NodeId j, double now);
 };
 
 /// Whether `kind` reshapes the network (partition, storm, link, slow)
@@ -132,6 +142,7 @@ class NodeStep {
            const TopologyParams& topology, double check_ms);
 
   Topology& topology() { return *topology_; }
+  const NodeSet& nodes() const { return set_; }
   GroundTruth& truth() { return truth_; }
   const GroundTruth& truth() const { return truth_; }
   NodeId lo() const { return lo_; }

@@ -102,6 +102,11 @@ class ByteReader {
     if (!take(n)) return {};
     return std::string(reinterpret_cast<const char*>(cur_ - n), n);
   }
+  /// A u32 length and that many bytes, in place; null when truncated.
+  const std::uint8_t* block(std::size_t& size) {
+    size = u32();
+    return take(size) ? cur_ - size : nullptr;
+  }
 
  private:
   bool take(std::size_t n) {

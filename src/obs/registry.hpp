@@ -1,10 +1,9 @@
 // Named metrics registry: counters, gauges and histograms with periodic
 // snapshot records interleaved into the trace stream.
 //
-// The registry is the *backing store* for the engine's aggregation (the
-// ClusterReport is filled from it at the end of the run - see
-// cluster/metrics.cpp), so the live report and the streamed snapshots can
-// never disagree. Handles returned by counter()/gauge()/histogram() are
+// The engine publishes its QoS ledger and counters here (the ledger also
+// fills the ClusterReport, so the live report and the streamed snapshots
+// can never disagree). Handles returned by counter()/gauge()/histogram() are
 // stable for the registry's lifetime; hot paths cache the pointer once
 // and pay one add per update. Snapshot field order is registration order,
 // which keeps snapshot lines byte-identical across fixed-seed runs.

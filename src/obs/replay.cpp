@@ -1,180 +1,140 @@
 #include "obs/replay.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
+#include <fstream>
 #include <unordered_map>
-#include <vector>
+
+#include "cluster/qos_ledger.hpp"
+#include "cluster/scenario.hpp"
 
 namespace rfd::obs {
 namespace {
 
-// Minimal field extraction for the flat, fixed-order record grammar
-// TraceWriter produces (string values in the records we replay never
-// contain escaped quotes, and the replayed types have no nested objects).
-bool find_value(std::string_view line, std::string_view key,
-                std::string_view& value) {
-  std::string pattern = "\"";
-  pattern.append(key);
-  pattern += "\":";
+// Field extraction for the flat record grammar TraceWriter produces: every
+// line is one object whose first field is "type", and the replayed records
+// carry no nested objects.
+bool has_type(const std::string& line, const char* type) {
+  return line.starts_with(std::string("{\"type\":\"") + type + "\"");
+}
+
+bool field(const std::string& line, const char* key, double& out) {
+  const std::string pattern = std::string("\"") + key + "\":";
   const std::size_t pos = line.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  value = line.substr(pos + pattern.size());
-  return true;
-}
-
-bool field_num(std::string_view line, std::string_view key, double& out) {
-  std::string_view value;
-  if (!find_value(line, key, value)) return false;
-  char buf[64];
-  const std::size_t len = std::min(value.size(), sizeof(buf) - 1);
-  std::memcpy(buf, value.data(), len);
-  buf[len] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end != buf;
-}
-
-bool field_str(std::string_view line, std::string_view key,
-               std::string& out) {
-  std::string_view value;
-  if (!find_value(line, key, value)) return false;
-  if (value.empty() || value.front() != '"') return false;
-  value.remove_prefix(1);
-  const std::size_t quote = value.find('"');
-  if (quote == std::string_view::npos) return false;
-  out.assign(value.substr(0, quote));
-  return true;
+  return pos != std::string::npos &&
+         std::sscanf(line.c_str() + pos + pattern.size(), "%lf", &out) == 1;
 }
 
 }  // namespace
 
 ReplayQos replay_qos(const std::string& path) {
   ReplayQos result;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::ifstream in(path);
+  if (!in) {
     result.error = "cannot open " + path;
     return result;
   }
 
-  // Ground truth, mirrored from ClusterEngine's scenario interpreter.
-  std::vector<char> ever_active;
-  std::vector<char> truth_active;
-  std::vector<double> down_since;
-  // Standing suspicions: (observer, victim) -> raise time, mirrored from
-  // the engine's cached per-pair verdicts.
+  // The fault records drive the ground-truth transitions the live run
+  // made; the suspect and clear records drive the same tally and the
+  // standing suspicions, (observer, victim) -> raise time, that the
+  // ledger's finalize reads in place of the nodes' records.
+  cluster::GroundTruth truth;
+  cluster::QosTally tally;
   std::unordered_map<std::int64_t, double> suspicion;
-  auto pair_key = [&](std::int64_t i, std::int64_t j) {
-    return i * static_cast<std::int64_t>(result.max_nodes) + j;
+  const auto key = [&](cluster::NodeId i, cluster::NodeId j) {
+    return static_cast<std::int64_t>(i) * result.max_nodes + j;
+  };
+  // Reads an id field, false when absent or outside the id space.
+  const auto id = [&](const std::string& line, const char* name,
+                      cluster::NodeId& out) {
+    double v = -1.0;
+    if (!field(line, name, v) || v < 0.0 || v >= result.max_nodes) {
+      return false;
+    }
+    out = static_cast<cluster::NodeId>(v);
+    return true;
   };
 
   std::string line;
-  std::string kind;
-  char buf[4096];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    line.assign(buf);
-    // Reassemble lines longer than the read buffer (log records can be).
-    while (!line.empty() && line.back() != '\n' &&
-           std::fgets(buf, sizeof(buf), f) != nullptr) {
-      line.append(buf);
-    }
+  while (std::getline(in, line)) {
     if (line.empty() || line.front() != '{') continue;
     ++result.records_read;
-
-    std::string type;
-    if (!field_str(line, "type", type)) continue;
     double t = 0.0;
-    field_num(line, "t", t);
-
-    if (type == "run") {
+    field(line, "t", t);
+    cluster::NodeId i = -1;
+    cluster::NodeId j = -1;
+    if (has_type(line, "run")) {
       double n = 0.0;
       double max_nodes = 0.0;
-      double duration = 0.0;
-      field_num(line, "n", n);
-      field_num(line, "max_nodes", max_nodes);
-      field_num(line, "duration_ms", duration);
+      field(line, "n", n);
+      field(line, "max_nodes", max_nodes);
+      field(line, "duration_ms", result.duration_ms);
       result.n = static_cast<int>(n);
       result.max_nodes = static_cast<int>(max_nodes);
-      result.duration_ms = duration;
-      const std::size_t cap = static_cast<std::size_t>(result.max_nodes);
-      ever_active.assign(cap, 0);
-      truth_active.assign(cap, 0);
-      down_since.assign(cap, -1.0);
-      for (int i = 0; i < result.n; ++i) {
-        ever_active[static_cast<std::size_t>(i)] = 1;
-        truth_active[static_cast<std::size_t>(i)] = 1;
+      if (result.max_nodes <= 0 || result.n < 0 || result.n > max_nodes) {
+        result.error = "bad run header in " + path;
+        return result;
       }
-    } else if (type == "fault") {
-      // The engine emits fault records only when they take effect, so the
-      // replayed transition is unconditional.
-      if (!field_str(line, "kind", kind)) continue;
-      double node = -1.0;
-      field_num(line, "node", node);
-      const auto j = static_cast<std::int64_t>(node);
-      if (j < 0 || j >= result.max_nodes) continue;
-      if (kind == "crash" || kind == "leave") {
-        truth_active[static_cast<std::size_t>(j)] = 0;
-        down_since[static_cast<std::size_t>(j)] = t;
-      } else if (kind == "recover" || kind == "join") {
-        ever_active[static_cast<std::size_t>(j)] = 1;
-        truth_active[static_cast<std::size_t>(j)] = 1;
-        down_since[static_cast<std::size_t>(j)] = -1.0;
-        // A restarted/joined process has no peer memory: its row of
-        // standing suspicions is wiped (ClusterNode::reset_peers).
-        for (std::int64_t v = 0; v < result.max_nodes; ++v) {
-          suspicion.erase(pair_key(j, v));
+      truth.reset(result.max_nodes, result.n);
+    } else if (truth.up.empty()) {
+      continue;  // nothing to replay before the run header
+    } else if (has_type(line, "fault") && id(line, "node", j)) {
+      // The drivers emit fault records only for faults that took effect.
+      for (const cluster::FaultKind k :
+           {cluster::FaultKind::kCrash, cluster::FaultKind::kRecover,
+            cluster::FaultKind::kJoin, cluster::FaultKind::kLeave}) {
+        const std::string kind =
+            std::string("\"kind\":\"") + cluster::fault_kind_cstr(k) + "\"";
+        if (line.find(kind) == std::string::npos) continue;
+        truth.apply(k, j, t);
+        if (k == cluster::FaultKind::kRecover ||
+            k == cluster::FaultKind::kJoin) {
+          // A restarted/joined process has no peer memory: its row of
+          // standing suspicions is wiped (ClusterNode::reset_peers).
+          for (cluster::NodeId v = 0; v < result.max_nodes; ++v) {
+            suspicion.erase(key(j, v));
+          }
         }
       }
-      // partition / heal / storm records do not change the crashed set.
-    } else if (type == "suspect") {
-      double observer = -1.0;
-      double victim = -1.0;
+    } else if ((has_type(line, "suspect") || has_type(line, "clear")) &&
+               id(line, "observer", i) && id(line, "victim", j)) {
+      const bool suspected = has_type(line, "suspect");
       double down = 0.0;
-      field_num(line, "observer", observer);
-      field_num(line, "victim", victim);
-      field_num(line, "down", down);
-      suspicion[pair_key(static_cast<std::int64_t>(observer),
-                         static_cast<std::int64_t>(victim))] = t;
-      ++result.suspicion_raises;
-      if (down == 0.0) ++result.false_suspicions;
-    } else if (type == "clear") {
-      double observer = -1.0;
-      double victim = -1.0;
-      field_num(line, "observer", observer);
-      field_num(line, "victim", victim);
-      suspicion.erase(pair_key(static_cast<std::int64_t>(observer),
-                               static_cast<std::int64_t>(victim)));
-      ++result.suspicion_clears;
-    } else if (type == "lost") {
+      field(line, "down", down);
+      tally.flip(i, j, suspected, down != 0.0, t, nullptr);
+      if (suspected) {
+        suspicion[key(i, j)] = t;
+      } else {
+        suspicion.erase(key(i, j));
+      }
+    } else if (has_type(line, "lost")) {
       double dropped = 0.0;
-      field_num(line, "dropped", dropped);
+      field(line, "dropped", dropped);
       result.lost_records += static_cast<std::int64_t>(dropped);
     }
   }
-  std::fclose(f);
-
-  if (result.max_nodes <= 0) {
+  if (truth.up.empty()) {
     result.error = "no run header record in " + path;
     return result;
   }
 
-  // Finalize, in the same (victim outer, observer inner) order as
-  // ClusterEngine::finalize so the Welford mean accumulates identically.
-  for (std::int64_t j = 0; j < result.max_nodes; ++j) {
-    const std::size_t js = static_cast<std::size_t>(j);
-    if (!ever_active[js] || truth_active[js] || down_since[js] < 0.0) {
-      continue;
+  cluster::QosLedger ledger;
+  ledger.finalize(truth, [&](cluster::NodeId observer,
+                             cluster::NodeId victim) {
+    cluster::PeerView view;
+    const auto it = suspicion.find(key(observer, victim));
+    if (it != suspicion.end()) {
+      view.known = view.suspected = true;
+      view.suspect_since = it->second;
     }
-    const double down_at = down_since[js];
-    for (std::int64_t i = 0; i < result.max_nodes; ++i) {
-      if (i == j || !truth_active[static_cast<std::size_t>(i)]) continue;
-      const auto it = suspicion.find(pair_key(i, j));
-      if (it == suspicion.end()) continue;  // not suspected (or never met)
-      result.detection_latency_ms.add(std::max(0.0, it->second - down_at));
-    }
+    return view;
+  });
+  for (const double sample : ledger.detection()) {
+    result.detection_latency_ms.add(sample);
   }
+  result.false_suspicions = tally.false_suspicions;
+  result.suspicion_raises = tally.raises;
+  result.suspicion_clears = tally.clears;
   result.ok = true;
   return result;
 }

@@ -1,12 +1,12 @@
 // Offline QoS re-derivation from a JSONL cluster trace.
 //
-// Replays the fault / suspect / clear records of a trace through the same
-// ground-truth machine the cluster engine runs live, and recomputes the
-// detection-latency samples and false-suspicion count exactly as
-// ClusterEngine::finalize does. On a fixed seed the re-derived numbers
-// must match the live ClusterReport bit-for-bit - the proof that the
-// trace is a complete record of the run (the completeness the ML arrival
-// predictor and run-diffing tooling depend on).
+// Replays the fault / suspect / clear records of a trace - run_cluster's
+// or the soak runner's - through the ground-truth transitions and the QoS
+// ledger (cluster/qos_ledger.hpp) the drivers run live, with the trace's
+// standing suspicions in place of the nodes' records. On a fixed seed the
+// re-derived numbers must match the live report bit-for-bit - the proof
+// that the trace is a complete record of the run (the completeness the ML
+// arrival predictor and run-diffing tooling depend on).
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,7 @@ namespace rfd::transport {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x43444652u;  // "RFDC"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 }  // namespace
 
 bool write_checkpoint(const std::string& path, const CheckpointData& data,

@@ -3,7 +3,8 @@
 // File layout (all little-endian; see common/bytes.hpp):
 //
 //   u32  magic            "RFDC" (0x43444652)
-//   u32  version          format version (currently 1)
+//   u32  version          format version (currently 2; version 1
+//                         carried per-raise detection samples)
 //   u64  config_fingerprint  hash of the producing configuration; a
 //                            loader refuses a snapshot from a different
 //                            config instead of resuming into nonsense

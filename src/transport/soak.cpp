@@ -10,6 +10,7 @@
 
 #include "cluster/node.hpp"
 #include "cluster/node_step.hpp"
+#include "cluster/qos_ledger.hpp"
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -109,6 +110,7 @@ class SoakRunner {
       heartbeats(now);
       deliver(now);
       check(now, k);
+      qos_.tick(now, tally_);
       tick_ = k;
       ++ticks_run;
       if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
@@ -183,17 +185,25 @@ class SoakRunner {
   }
 
   /// UDP pacing: park in epoll (draining arrivals as they land) until
-  /// this tick's wall deadline. Returns false when a shutdown signal
-  /// arrived mid-wait. The sim backend runs the grid unpaced.
+  /// this tick's wall deadline. A tick that finds its deadline already
+  /// past is an overrun; the largest such lag is kept. Returns false when
+  /// a shutdown signal arrived mid-wait. The sim backend runs the grid
+  /// unpaced.
   bool pace(std::int64_t k, std::int64_t start_tick,
             std::chrono::steady_clock::time_point wall_start, double now) {
     if (udp_ == nullptr) return true;
     const double target = static_cast<double>(k - start_tick) *
                           config_.tick_ms * config_.time_scale;
-    for (;;) {
+    for (bool first = true;; first = false) {
       if (shutdown_requested()) return false;
       const double wall = wall_elapsed_ms(wall_start);
-      if (wall >= target) return true;
+      if (wall >= target) {
+        if (first) {
+          ++overruns_;
+          max_lag_ms_ = std::max(max_lag_ms_, wall - target);
+        }
+        return true;
+      }
       // Bounded slices keep signal response prompt on slow grids.
       udp_->wait_readable(std::min(target - wall, 50.0));
       transport_->poll(now, pending_);
@@ -208,14 +218,10 @@ class SoakRunner {
     }
   }
 
-  void note_fault(const cluster::FaultEvent& event, double now) {
-    if (trace_ != nullptr) trace_->emit(cluster::fault_record(event, now));
-  }
-
-  // The engine's fault semantics (the shared node step), applied at the
-  // first tick at or after the fault time, so a .scn timeline means the
-  // same thing under both drivers; network-shaped faults go to the
-  // transport's verdict network when it has one.
+  // The engine's fault semantics (the shared node step and QoS ledger),
+  // applied at the first tick at or after the fault time, so a .scn
+  // timeline means the same thing under both drivers; network-shaped
+  // faults go to the transport's verdict network when it has one.
   void apply_fault(const cluster::FaultEvent& event, double now) {
     rt::Network* net = transport_->fault_network();
     if (net == nullptr && cluster::is_network_fault(event.kind)) {
@@ -228,11 +234,12 @@ class SoakRunner {
       warned_no_fault_network_ = true;
       return;
     }
-    if (net != nullptr && cluster::apply_network_fault(*net, event)) {
-      note_fault(event, now);
-      return;
+    if (net == nullptr || !cluster::apply_network_fault(*net, event)) {
+      if (!step_.apply_fault(event, now)) return;
+      tally_.rescore(event.kind, event.node, step_);
     }
-    if (step_.apply_fault(event, now)) note_fault(event, now);
+    if (trace_ != nullptr) trace_->emit(cluster::fault_record(event, now));
+    qos_.fault(event.kind, now);
   }
 
   void heartbeats(double now) {
@@ -258,14 +265,16 @@ class SoakRunner {
         continue;
       }
       step_.receive(d.to, d.from, d.payload.data(), d.payload.size(),
-                    d.at_ms, [](rt::NodeId) {});
+                    d.at_ms, [this](rt::NodeId peer) {
+                      tally_.learned(step_.truth().down(peer));
+                    });
     }
     pending_.clear();
   }
 
   /// Evaluates the wheel slot of `tick`. The wheel yields pairs in arming
-  /// order; flips are accounted in (observer, peer) order, so detection
-  /// samples and trace records keep the order a scan of every pair has.
+  /// order; flips are tallied in (observer, peer) order, so the trace's
+  /// suspect and clear records keep the order a scan of every pair has.
   void check(double now, std::int64_t tick) {
     flips_.clear();
     step_.evaluate(tick, now,
@@ -273,27 +282,9 @@ class SoakRunner {
                      flips_.push_back(Flip{i, j, suspected});
                    });
     std::sort(flips_.begin(), flips_.end());
-    const cluster::GroundTruth& truth = step_.truth();
     for (const Flip& f : flips_) {
-      const std::size_t pj = static_cast<std::size_t>(f.peer);
-      obs::Record r;
-      r.t = now;
-      r.a = f.observer;
-      r.b = f.peer;
-      if (f.suspected) {
-        ++raises_;
-        if (truth.up[pj] != 0) {
-          ++false_suspicions_;
-        } else if (truth.down_since[pj] >= 0.0) {
-          detection_samples_.push_back(now - truth.down_since[pj]);
-        }
-        r.type = obs::RecordType::kSuspect;
-        r.c = truth.up[pj] != 0 ? 0 : 1;
-      } else {
-        ++clears_;
-        r.type = obs::RecordType::kClear;
-      }
-      if (trace_ != nullptr) trace_->emit(r);
+      tally_.flip(f.observer, f.peer, f.suspected,
+                  step_.truth().down(f.peer), now, trace_.get());
     }
   }
 
@@ -310,12 +301,17 @@ class SoakRunner {
     registry_.gauge("transport.retries").set(static_cast<double>(c.retries));
     registry_.gauge("transport.sock_errors")
         .set(static_cast<double>(c.sock_errors));
-    registry_.gauge("soak.raises").set(static_cast<double>(raises_));
-    registry_.gauge("soak.clears").set(static_cast<double>(clears_));
+    registry_.gauge("soak.raises").set(static_cast<double>(tally_.raises));
+    registry_.gauge("soak.clears").set(static_cast<double>(tally_.clears));
     registry_.gauge("soak.false_suspicions")
-        .set(static_cast<double>(false_suspicions_));
+        .set(static_cast<double>(tally_.false_suspicions));
     registry_.gauge("soak.checkpoints")
         .set(static_cast<double>(checkpoints_written_));
+    if (udp_ != nullptr) {
+      // Only a paced run has wall deadlines to overrun.
+      registry_.gauge("soak.tick_overruns")
+          .set(static_cast<double>(overruns_));
+    }
     registry_.snapshot(*trace_, now, tick);
   }
 
@@ -346,11 +342,7 @@ class SoakRunner {
       w.f64(lie.value);
     }
     w.u32(static_cast<std::uint32_t>(fault_cursor_));
-    w.i64(raises_);
-    w.i64(clears_);
-    w.i64(false_suspicions_);
-    w.u32(static_cast<std::uint32_t>(detection_samples_.size()));
-    for (double s : detection_samples_) w.f64(s);
+    qos_.save(w);
     std::vector<std::uint8_t> transport_bytes;
     const bool saved = transport_->save_state(transport_bytes);
     w.u8(saved ? 1 : 0);
@@ -378,6 +370,13 @@ class SoakRunner {
                          error)) {
       return false;
     }
+    // The header tick seeds the tick grid: it must be the tick the
+    // snapshot's clock names.
+    if (data.tick < 0 || data.tick > (std::int64_t{1} << 40) ||
+        data.now_ms != static_cast<double>(data.tick) * config_.tick_ms) {
+      error = "checkpoint tick is inconsistent";
+      return false;
+    }
     ByteReader r(data.payload.data(), data.payload.size());
     if (r.u32() != kPayloadMagic) {
       error = "checkpoint payload is not a soak snapshot";
@@ -388,20 +387,14 @@ class SoakRunner {
       return false;
     }
     for (cluster::ClusterNode& node : nodes_.nodes) {
-      const std::uint32_t len = r.u32();
-      if (!r.ok() || len > r.remaining()) {
-        error = "checkpoint truncated in node state";
-        return false;
-      }
-      std::vector<std::uint8_t> node_bytes(len);
-      if (len != 0 && !r.bytes(node_bytes.data(), len)) {
-        error = "checkpoint truncated in node state";
-        return false;
-      }
+      std::size_t len = 0;
+      const std::uint8_t* bytes = r.block(len);
       std::size_t consumed = 0;
-      if (!node.restore_state(node_bytes.data(), node_bytes.size(),
-                              consumed) ||
-          consumed != node_bytes.size()) {
+      if (bytes == nullptr) {
+        error = "checkpoint truncated in node state";
+        return false;
+      }
+      if (!node.restore_state(bytes, len, consumed) || consumed != len) {
         error = "checkpoint node state is inconsistent";
         return false;
       }
@@ -412,6 +405,7 @@ class SoakRunner {
       rng.restore_state(state);
     }
     cluster::GroundTruth& truth = step_.truth();
+    bool finite = true;  // times and lies feed clock and counter math
     for (int i = 0; i < max_nodes_; ++i) {
       const std::size_t p = static_cast<std::size_t>(i);
       cluster::Lie& lie = nodes_.lies[p];
@@ -421,39 +415,28 @@ class SoakRunner {
       lie.on = r.u8() != 0;
       lie.delta = r.f64();
       lie.value = r.f64();
+      finite = finite && std::isfinite(truth.down_since[p]) &&
+               std::isfinite(lie.delta) && std::isfinite(lie.value);
     }
     const std::uint32_t cursor = r.u32();
-    raises_ = r.i64();
-    clears_ = r.i64();
-    false_suspicions_ = r.i64();
-    const std::uint32_t sample_count = r.u32();
-    if (!r.ok() || cursor > faults_.size() ||
-        sample_count > (1u << 24)) {
+    const auto max_pairs = static_cast<std::int64_t>(max_nodes_) *
+                           static_cast<std::int64_t>(max_nodes_);
+    if (!r.ok() || !finite || cursor > faults_.size() ||
+        !qos_.restore(r, max_pairs, static_cast<std::int64_t>(cursor))) {
       error = "checkpoint bookkeeping is inconsistent";
       return false;
     }
     fault_cursor_ = cursor;
-    detection_samples_.resize(sample_count);
-    for (double& s : detection_samples_) s = r.f64();
+    tally_ = qos_.total();
     const bool transport_saved = r.u8() != 0;
-    const std::uint32_t transport_len = r.u32();
-    if (!r.ok() || transport_len > r.remaining()) {
+    std::size_t transport_len = 0;
+    const std::uint8_t* transport_bytes = r.block(transport_len);
+    if (transport_bytes == nullptr) {
       error = "checkpoint truncated in transport state";
-      return false;
-    }
-    std::vector<std::uint8_t> transport_bytes(transport_len);
-    if (transport_len != 0 &&
-        !r.bytes(transport_bytes.data(), transport_len)) {
-      error = "checkpoint truncated in transport state";
-      return false;
-    }
-    if (!r.ok()) {
-      error = "checkpoint payload truncated";
       return false;
     }
     if (transport_saved &&
-        !transport_->restore_state(transport_bytes.data(),
-                                   transport_bytes.size())) {
+        !transport_->restore_state(transport_bytes, transport_len)) {
       error = "checkpoint transport state is inconsistent";
       return false;
     }
@@ -482,31 +465,17 @@ class SoakRunner {
     report.sim_ms = static_cast<double>(tick_) * config_.tick_ms;
     report.ticks_run = ticks_run;
     report.transport = transport_->counters();
-    report.raises = raises_;
-    report.clears = clears_;
-    report.false_suspicions = false_suspicions_;
-    for (double s : detection_samples_) report.detection.add(s);
-    report.missed = 0;
-    report.final_agreement = true;
-    const cluster::GroundTruth& truth = step_.truth();
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      if (truth.up[static_cast<std::size_t>(i)] == 0) continue;
-      const cluster::ClusterNode& node =
-          nodes_.nodes[static_cast<std::size_t>(i)];
-      for (rt::NodeId j = 0; j < max_nodes_; ++j) {
-        if (j == i || truth.ever[static_cast<std::size_t>(j)] == 0) {
-          continue;
-        }
-        const bool down = truth.down(j);
-        const bool flagged = node.knows(j) && node.is_suspected(j);
-        if (down && !flagged) {
-          ++report.missed;
-          report.final_agreement = false;
-        } else if (!down && flagged) {
-          report.final_agreement = false;
-        }
-      }
-    }
+    report.raises = tally_.raises;
+    report.clears = tally_.clears;
+    report.false_suspicions = tally_.false_suspicions;
+    qos_.finalize(step_.truth(), nodes_);
+    for (const double sample : qos_.detection()) report.detection.add(sample);
+    report.missed = qos_.missed();
+    report.final_agreement = qos_.agreement();
+    report.disruptions = qos_.disruptions();
+    for (const double ms : qos_.convergence()) report.convergence.add(ms);
+    report.tick_overruns = overruns_;
+    report.max_lag_ms = max_lag_ms_;
     report.checkpoints_written = checkpoints_written_;
     report.resumed = resumed_;
     report.stopped_by_signal = stopped_;
@@ -517,9 +486,9 @@ class SoakRunner {
       footer.str("type", "end")
           .num("t", report.sim_ms)
           .integer("ticks", tick_)
-          .integer("raises", raises_)
-          .integer("clears", clears_)
-          .integer("false", false_suspicions_)
+          .integer("raises", report.raises)
+          .integer("clears", report.clears)
+          .integer("false", report.false_suspicions)
           .integer("missed", report.missed)
           .boolean("agreement", report.final_agreement)
           .boolean("signal", stopped_)
@@ -536,16 +505,16 @@ class SoakRunner {
     std::vector<std::uint8_t> blob;
     ByteWriter w(blob);
     w.i64(tick_);
-    w.i64(raises_);
-    w.i64(clears_);
-    w.i64(false_suspicions_);
+    w.i64(report.raises);
+    w.i64(report.clears);
+    w.i64(report.false_suspicions);
     w.i64(report.missed);
     w.u8(report.final_agreement ? 1 : 0);
     w.i64(report.transport.sent);
     w.i64(report.transport.delivered);
     w.i64(report.transport.dropped);
     w.i64(report.transport.duplicated);
-    for (double s : detection_samples_) w.f64(s);
+    for (const double sample : qos_.detection()) w.f64(sample);
     return fnv1a(blob.data(), blob.size(), fnv1a_init());
   }
 
@@ -564,11 +533,14 @@ class SoakRunner {
   cluster::NodeStep step_;
 
   std::int64_t tick_ = 0;  // last completed tick
-  std::int64_t raises_ = 0;
-  std::int64_t clears_ = 0;
-  std::int64_t false_suspicions_ = 0;
-  std::vector<double> detection_samples_;
+  /// QoS, decided as run_cluster decides it (cluster/qos_ledger.hpp): the
+  /// tally of every observer row, fed to the ledger at each tick.
+  cluster::QosTally tally_;
+  cluster::QosLedger qos_;
   int checkpoints_written_ = 0;
+  /// Paced ticks of this process that found their deadline past.
+  std::int64_t overruns_ = 0;
+  double max_lag_ms_ = 0.0;
   bool resumed_ = false;
   bool stopped_ = false;
   bool warned_no_fault_network_ = false;

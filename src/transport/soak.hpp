@@ -10,15 +10,15 @@
 // either for socket-boundary fault injection - and replays the same
 // scenario DSL fault timelines the simulator uses.
 //
-// The per-node protocol is run_cluster's, cluster::NodeStep; the soak
-// adds the tick grid, the Transport, pacing, checkpoints and its QoS
-// counters. A payload off the wire is validated whole before any entry is
-// observed (a malformed one is dropped, never fatal), and a fault applies
-// at the first tick at or after its time.
+// The per-node protocol is run_cluster's, cluster::NodeStep, and so is the
+// QoS accounting, cluster::QosLedger. The soak adds the tick grid, the
+// Transport, pacing and checkpoints. A payload off the wire is validated
+// whole before any entry is observed (a malformed one is dropped, never
+// fatal), and a fault applies at the first tick at or after its time.
 //
 // What makes it a *soak* runner:
 //   - periodic versioned, CRC-checked checkpoints of the full mutable
-//     state (nodes, detectors, RNG streams, fault cursor, metrics, and
+//     state (nodes, detectors, RNG streams, fault cursor, QoS ledger, and
 //     the transport when it can serialize itself), written atomically;
 //     the suspicion wheel is derived state, re-armed on restore;
 //   - crash-resume: a run started with resume=true picks up from the
@@ -114,12 +114,19 @@ struct SoakReport {
   std::int64_t raises = 0;
   std::int64_t clears = 0;
   std::int64_t false_suspicions = 0;
-  /// Crash-to-first-raise latencies (ms), cumulative across resumes.
+  /// QoS as ClusterReport defines it (cluster/qos_ledger.hpp): one
+  /// detection latency (ms) per (live observer, down victim) pair, misses
+  /// of known down peers only, agreement at the last tick.
   Summary detection;
-  /// (live observer, truly down peer) pairs still unsuspected at exit.
   std::int64_t missed = 0;
-  /// Every live node's suspected set matches the true crashed set.
   bool final_agreement = false;
+  std::int64_t disruptions = 0;
+  Summary convergence;
+
+  /// Paced (UDP) ticks of this process that found their wall deadline
+  /// already past, and the largest such lag.
+  std::int64_t tick_overruns = 0;
+  double max_lag_ms = 0.0;
 
   int checkpoints_written = 0;
   bool resumed = false;

@@ -17,6 +17,7 @@
 
 #include "cluster/node.hpp"
 #include "cluster/scenario.hpp"
+#include "common/crc32.hpp"
 #include "common/shutdown.hpp"
 #include "transport/checkpoint.hpp"
 #include "transport/soak.hpp"
@@ -173,10 +174,11 @@ std::string file_digest(const std::string& path) {
   return buf;
 }
 
-/// Kills a soak mid-run (after a checkpoint), resumes it, and expects the
-/// uninterrupted run's exact outcome; returns the digest of the
+/// Kills a soak at `kill_ms` (after a checkpoint), resumes it, and expects
+/// the uninterrupted run's exact outcome; returns the digest of the
 /// checkpoint the first leg left behind.
-std::string expect_resume_exact(rt::DetectorKind kind, const char* tag) {
+std::string expect_resume_exact(rt::DetectorKind kind, const char* tag,
+                                double kill_ms = 11'000.0) {
   reset_shutdown();
   SoakConfig full = base_soak_config(kind);
   SoakReport uninterrupted;
@@ -189,7 +191,7 @@ std::string expect_resume_exact(rt::DetectorKind kind, const char* tag) {
 
   const std::string ckpt = temp_path(std::string("resume_") + tag);
   SoakConfig first_leg = base_soak_config(kind);
-  first_leg.duration_ms = 11'000.0;  // killed mid-partition
+  first_leg.duration_ms = kill_ms;
   first_leg.checkpoint_path = ckpt;
   first_leg.checkpoint_every_ms = 3'000.0;
   SoakReport half;
@@ -213,7 +215,11 @@ std::string expect_resume_exact(rt::DetectorKind kind, const char* tag) {
   EXPECT_EQ(resumed.transport.delivered, uninterrupted.transport.delivered);
   EXPECT_EQ(resumed.transport.dropped, uninterrupted.transport.dropped);
   EXPECT_EQ(resumed.detection.count(), uninterrupted.detection.count());
+  EXPECT_EQ(resumed.detection.sum(), uninterrupted.detection.sum());
   EXPECT_EQ(resumed.final_agreement, uninterrupted.final_agreement);
+  EXPECT_EQ(resumed.disruptions, uninterrupted.disruptions);
+  EXPECT_EQ(resumed.convergence.count(), uninterrupted.convergence.count());
+  EXPECT_EQ(resumed.convergence.sum(), uninterrupted.convergence.sum());
   std::remove(ckpt.c_str());
   return digest;
 }
@@ -222,17 +228,67 @@ TEST(SoakResume, MatchesUninterruptedRun) {
   expect_resume_exact(rt::DetectorKind::kFixed, "fixed");
 }
 
-// The checkpoint digests were pinned before the adaptive detectors moved
-// from per-pair heap objects into the node's ring slab: the byte stream,
-// each pair's detector slice included, must not change with the layout.
+// The checkpoint digests pin the whole byte stream, each pair's adaptive
+// detector slice included. They were first pinned before the detectors
+// moved from per-pair heap objects into the node's ring slab (the layout
+// change left them intact) and re-pinned once for format version 2, whose
+// QoS ledger section replaced the per-raise detection samples.
 TEST(SoakResume, ChenMatchesUninterruptedRun) {
   EXPECT_EQ(expect_resume_exact(rt::DetectorKind::kChen, "chen"),
-            "1285400cb83cf086");
+            "e66267c5022ee85e");
 }
 
 TEST(SoakResume, PhiMatchesUninterruptedRun) {
   EXPECT_EQ(expect_resume_exact(rt::DetectorKind::kPhi, "phi"),
-            "efe3a08f5c586f04");
+            "6a2f5e8d7d1072dc");
+}
+
+// Killed 500 ms after node 2 crashed, before any observer's 1 s timeout
+// ran out: only the suspicion wheel, re-armed from the restored nodes,
+// brings those pairs due again (node 2 sends nothing that would arm them),
+// so a resume that skipped the re-arm would miss every detection of it.
+TEST(SoakResume, KilledBetweenCrashAndDetection) {
+  for (const rt::DetectorKind kind :
+       {rt::DetectorKind::kFixed, rt::DetectorKind::kPhi}) {
+    expect_resume_exact(kind, "predetect", 4'500.0);
+  }
+}
+
+TEST(SoakResume, RefusesVersionOneCheckpoint) {
+  reset_shutdown();
+  const std::string ckpt = temp_path("v1_ckpt");
+  SoakConfig config = base_soak_config();
+  config.duration_ms = 2'000.0;
+  config.checkpoint_path = ckpt;
+  SoakReport report;
+  std::string error;
+  ASSERT_TRUE(run_soak(config, report, error)) << error;
+
+  // Rewrite the version field (bytes 4..7) to 1 and re-seal the CRC, so
+  // the file is an intact version-1 checkpoint.
+  std::ifstream in(ckpt, std::ios::binary);
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(bytes.size(), 44u);
+  const std::uint8_t one[4] = {1, 0, 0, 0};
+  std::memcpy(bytes.data() + 4, one, 4);
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();
+
+  config.duration_ms = 3'000.0;
+  config.resume = true;
+  SoakReport resumed;
+  EXPECT_FALSE(run_soak(config, resumed, error));
+  EXPECT_EQ(error, "unsupported checkpoint version 1");
+  std::remove(ckpt.c_str());
 }
 
 TEST(SoakResume, RefusesForeignConfig) {

@@ -3,11 +3,17 @@
 // detector kind at a fixed seed, and an n=64 crash timeline runs with
 // checkpoints. Each run pins its outcome fingerprint and the FNV-1a of its
 // trace bytes; the checkpointed runs also pin the FNV-1a of the checkpoint
-// file. The digests were computed with the soak runner that scanned every
-// pair each tick and decoded payloads with its own varint reader, so they
-// check that the shared node step (one decoder, the suspicion wheel)
-// reproduces that runner exactly. On a mismatch the test prints a
-// paste-ready replacement table.
+// file. The trace digests were computed with the soak runner that scanned
+// every pair each tick and decoded payloads with its own varint reader, so
+// they check that the shared node step (one decoder, the suspicion wheel)
+// reproduces that runner exactly. The fingerprints were re-pinned once
+// when the soak took run_cluster's QoS semantics (cluster/qos_ledger.hpp):
+// one detection sample per (live observer, down victim) pair instead of
+// one per raise, and no miss for a never-met peer; only n64/fixed's trace
+// changed then, in its footer's missed count. The checkpoint digests were
+// re-pinned for checkpoint format version 2. On a mismatch the test prints
+// a paste-ready replacement table. The replay test re-derives each scenario
+// run's QoS offline from its trace.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +23,7 @@
 #include <vector>
 
 #include "common/shutdown.hpp"
+#include "obs/replay.hpp"
 #include "scenario_test_util.hpp"
 #include "transport/soak.hpp"
 
@@ -67,8 +74,10 @@ SoakConfig base_config(rt::DetectorKind kind) {
 }
 
 /// Runs `config` with a trace (and its checkpoint, if set) in temp files
-/// and hashes what the run left behind.
-Outcome run_pinned(SoakConfig config, const std::string& tag) {
+/// and hashes what the run left behind. With `replay` set, the trace's
+/// offline replay is stored there before the trace is removed.
+Outcome run_pinned(SoakConfig config, const std::string& tag,
+                   obs::ReplayQos* replay = nullptr) {
   reset_shutdown();
   Outcome out;
   config.obs.trace_path = temp_path(tag + ".jsonl");
@@ -76,6 +85,7 @@ Outcome run_pinned(SoakConfig config, const std::string& tag) {
   EXPECT_TRUE(run_soak(config, out.report, error)) << tag << ": " << error;
   out.fingerprint = hex(out.report.outcome_fingerprint);
   out.trace = fnv1a_hex(read_file(config.obs.trace_path));
+  if (replay != nullptr) *replay = obs::replay_qos(config.obs.trace_path);
   std::remove(config.obs.trace_path.c_str());
   if (!config.checkpoint_path.empty()) {
     out.checkpoint = fnv1a_hex(read_file(config.checkpoint_path));
@@ -122,72 +132,111 @@ const char* const kScenarioFiles[] = {
     "rack_failure.scn",         "slow_nodes.scn",
 };
 
+/// A scenario file's pinned configuration.
+SoakConfig scenario_config(const char* file, rt::DetectorKind kind) {
+  const cluster::ScenarioDoc doc = cluster::testutil::load_doc(file);
+  SoakConfig config = base_config(kind);
+  config.n = doc.n;
+  config.max_nodes = doc.max_nodes;
+  config.duration_ms = doc.duration_ms;
+  config.scenario = doc.scenario;
+  config.flaky = true;
+  config.flaky_params.network.loss_prob = 0.03;
+  config.flaky_params.dup_prob = 0.02;
+  return config;
+}
+
 TEST(SoakPins, ScenarioLibraryOverFlakySim) {
   const std::vector<Pin> pins = {
-      {"asymmetric_partition.scn/fixed", "d52fab73c9e55367",
+      {"asymmetric_partition.scn/fixed", "b8375619dda67e67",
        "fd85bcaba63724ec", ""},
-      {"asymmetric_partition.scn/chen", "7bd2261f3454da9e",
+      {"asymmetric_partition.scn/chen", "782dd16b0cce5c29",
        "68ab70e992d1e817", ""},
-      {"asymmetric_partition.scn/phi", "57a001b18f16575c",
+      {"asymmetric_partition.scn/phi", "04b67340dbb6029c",
        "7688296e09f3a4fc", ""},
-      {"byzantine_counters.scn/fixed", "93dc52b99905ebe9",
+      {"byzantine_counters.scn/fixed", "0ac15d85f05f2fc8",
        "1a6287e2df4fcf5b", ""},
-      {"byzantine_counters.scn/chen", "a9026f48767a69ca",
+      {"byzantine_counters.scn/chen", "492c08909eb3fb8e",
        "cba94febcb59b939", ""},
-      {"byzantine_counters.scn/phi", "f633d4102e8182cb",
+      {"byzantine_counters.scn/phi", "d03bfe1025f1e5ab",
        "eeec79ffe2900044", ""},
-      {"cascading_overload.scn/fixed", "611dd34272cea0c4",
+      {"cascading_overload.scn/fixed", "b7cd645a31b974c4",
        "6ec48a76ba1723f8", ""},
-      {"cascading_overload.scn/chen", "dc5dc35ae574c1e9",
+      {"cascading_overload.scn/chen", "03031af55a66342c",
        "94e004f699593b64", ""},
-      {"cascading_overload.scn/phi", "5fa257c6bed26c8e",
+      {"cascading_overload.scn/phi", "74c1242073b6d72e",
        "72efa43c59970b5d", ""},
-      {"churn_storm.scn/fixed", "625e21446380237f", "49a18e255db6309d", ""},
-      {"churn_storm.scn/chen", "6a5055f459f27316", "71ead7f07081bbbf", ""},
-      {"churn_storm.scn/phi", "897c1bdb034dff09", "45bb81d013a2f042", ""},
-      {"crash_recovery_wave.scn/fixed", "11460a1405c06498",
+      {"churn_storm.scn/fixed", "fde5229aa390a59a", "49a18e255db6309d", ""},
+      {"churn_storm.scn/chen", "5fd67712baccddaf", "71ead7f07081bbbf", ""},
+      {"churn_storm.scn/phi", "aab27698fe2c439f", "45bb81d013a2f042", ""},
+      {"crash_recovery_wave.scn/fixed", "e8c6c0be36347013",
        "7be7c8dbb9634495", ""},
-      {"crash_recovery_wave.scn/chen", "b27ead7c25417b87",
+      {"crash_recovery_wave.scn/chen", "f7c144a0dcae4dba",
        "2664b34649abceb9", ""},
-      {"crash_recovery_wave.scn/phi", "caa8855543f35212",
+      {"crash_recovery_wave.scn/phi", "5b03580b7c73d6bf",
        "04dda8e102e4e369", ""},
-      {"flapping_links.scn/fixed", "e3853f3fad027ac4", "8a401cc9218a9079", ""},
-      {"flapping_links.scn/chen", "32a4a45a13dea380", "e59808a228a23173", ""},
-      {"flapping_links.scn/phi", "6b859a55d126ef55", "8ae24ed9c1784e58", ""},
-      {"gray_failure.scn/fixed", "5b3990c2f500d324", "b7f02057d9a0db82", ""},
-      {"gray_failure.scn/chen", "fafb52b59ced676d", "037a39cad7e6e772", ""},
-      {"gray_failure.scn/phi", "d98b10a6a5e93f8a", "32423b839534acfc", ""},
-      {"partition_cascade.scn/fixed", "b546489479957ceb",
+      {"flapping_links.scn/fixed", "2a11c81c7b339d64", "8a401cc9218a9079", ""},
+      {"flapping_links.scn/chen", "cffc46eb56020e07", "e59808a228a23173", ""},
+      {"flapping_links.scn/phi", "8d5f867c42485855", "8ae24ed9c1784e58", ""},
+      {"gray_failure.scn/fixed", "ed67369989ed04c4", "b7f02057d9a0db82", ""},
+      {"gray_failure.scn/chen", "d012daa1d7cdb8ef", "037a39cad7e6e772", ""},
+      {"gray_failure.scn/phi", "10ec88e7afb025aa", "32423b839534acfc", ""},
+      {"partition_cascade.scn/fixed", "5c7705965c4c278b",
        "669e991c29c4d3dc", ""},
-      {"partition_cascade.scn/chen", "d69c22dc753fef65",
+      {"partition_cascade.scn/chen", "6a3902c4210925c4",
        "9f656bd41be6b740", ""},
-      {"partition_cascade.scn/phi", "6252f48786bfee04", "45ce96cc9c46b321", ""},
-      {"rack_failure.scn/fixed", "8d78aac5e1929ef0", "bddd14a4244946dc", ""},
-      {"rack_failure.scn/chen", "75cebd288bc991b6", "1f645cae2e103e2f", ""},
-      {"rack_failure.scn/phi", "f3bbd88bdb10d986", "f55b04de6a20e96e", ""},
-      {"slow_nodes.scn/fixed", "7be010c32d40256f", "a4e47ce232ef5fda", ""},
-      {"slow_nodes.scn/chen", "4e7b2cec15dd14b3", "0162ab228c47a0b5", ""},
-      {"slow_nodes.scn/phi", "0a3fcaa6c9961f3d", "3f3b420a674a9f17", ""},
+      {"partition_cascade.scn/phi", "e7b9dad67d40a0a4", "45ce96cc9c46b321", ""},
+      {"rack_failure.scn/fixed", "f040a2328c5a3f33", "bddd14a4244946dc", ""},
+      {"rack_failure.scn/chen", "c5799446691f181e", "1f645cae2e103e2f", ""},
+      {"rack_failure.scn/phi", "45d171b4896774ef", "f55b04de6a20e96e", ""},
+      {"slow_nodes.scn/fixed", "9e8e03dd9b65cecf", "a4e47ce232ef5fda", ""},
+      {"slow_nodes.scn/chen", "2b2c93c93bcba301", "0162ab228c47a0b5", ""},
+      {"slow_nodes.scn/phi", "6fb19039a849a09d", "3f3b420a674a9f17", ""},
   };
   std::vector<std::string> names;
   std::vector<Outcome> outcomes;
   for (const char* file : kScenarioFiles) {
-    const cluster::ScenarioDoc doc = cluster::testutil::load_doc(file);
     for (const rt::DetectorKind kind : kKinds) {
-      SoakConfig config = base_config(kind);
-      config.n = doc.n;
-      config.max_nodes = doc.max_nodes;
-      config.duration_ms = doc.duration_ms;
-      config.scenario = doc.scenario;
-      config.flaky = true;
-      config.flaky_params.network.loss_prob = 0.03;
-      config.flaky_params.dup_prob = 0.02;
       names.push_back(std::string(file) + "/" +
                       rt::detector_kind_name(kind));
-      outcomes.push_back(run_pinned(config, "scn"));
+      outcomes.push_back(run_pinned(scenario_config(file, kind), "scn"));
     }
   }
   check_pins(pins, names, outcomes);
+}
+
+// The soak's trace is a complete record of its QoS: replay_qos, fed only
+// the trace, re-derives the live report's detection samples (in the same
+// order, so even the sum matches bit for bit) and suspicion counts.
+TEST(SoakReplay, ReplayMatchesLiveSoakReport) {
+  for (const char* file : kScenarioFiles) {
+    for (const rt::DetectorKind kind : kKinds) {
+      const std::string name =
+          std::string(file) + "/" + rt::detector_kind_name(kind);
+      obs::ReplayQos replay;
+      const Outcome live =
+          run_pinned(scenario_config(file, kind), "replay", &replay);
+      const SoakReport& r = live.report;
+      ASSERT_TRUE(replay.ok) << name << ": " << replay.error;
+      EXPECT_EQ(replay.lost_records, 0) << name;
+      EXPECT_EQ(r.trace_dropped, 0) << name;
+      EXPECT_EQ(replay.detection_latency_ms.count(), r.detection.count())
+          << name;
+      EXPECT_EQ(replay.detection_latency_ms.sum(), r.detection.sum())
+          << name;
+      if (r.detection.count() > 0) {
+        EXPECT_EQ(replay.detection_latency_ms.percentile(0.5),
+                  r.detection.percentile(0.5))
+            << name;
+        EXPECT_EQ(replay.detection_latency_ms.percentile(0.99),
+                  r.detection.percentile(0.99))
+            << name;
+      }
+      EXPECT_EQ(replay.false_suspicions, r.false_suspicions) << name;
+      EXPECT_EQ(replay.suspicion_raises, r.raises) << name;
+      EXPECT_EQ(replay.suspicion_clears, r.clears) << name;
+    }
+  }
 }
 
 SoakConfig crash_timeline(rt::DetectorKind kind) {
@@ -207,9 +256,9 @@ SoakConfig crash_timeline(rt::DetectorKind kind) {
 // uninterrupted outcome.
 TEST(SoakPins, CheckpointedCrashTimelineAtN64) {
   const std::vector<Pin> pins = {
-      {"n64/fixed", "f6779eda23a68e35", "034365338709d186", "dfd1d2be6d06c1ea"},
-      {"n64/chen", "4a882f85af06fbf8", "8bf8e712947282ba", "8e8f41e01c386d9e"},
-      {"n64/phi", "577dfbd008b32267", "77fdf8bd8a06428c", "3cf625c7e224fb46"},
+      {"n64/fixed", "83bb88ab40301e59", "5000ccf4912a2f53", "581bd7237a8edcfc"},
+      {"n64/chen", "ac2487db96a2ef43", "8bf8e712947282ba", "e7871328c6a982c9"},
+      {"n64/phi", "b552dd5bcc9cb279", "77fdf8bd8a06428c", "e9dcb430624a790a"},
   };
   std::vector<std::string> names;
   std::vector<Outcome> outcomes;
